@@ -283,7 +283,7 @@ def check_validity_single_var(f: ConstraintFormula) -> bool:
     return validity_counterexample(f) is None
 
 
-# --- saturating arithmetic --------------------------------------------------
+# --- the saturation marker --------------------------------------------------
 
 
 class _Saturated:
@@ -301,30 +301,6 @@ class _Saturated:
 
 
 SATURATED = _Saturated()
-
-CappedValue = Union[Fraction, _Saturated]
-
-
-def saturating_eval(t: Term, v: Mapping[str, CappedValue], cap: Fraction) -> CappedValue:
-    """Evaluate ``t`` where variable values may be SATURATED.
-
-    SATURATED absorbs: any saturated summand, or any exact sum exceeding
-    ``cap``, yields SATURATED.  ``cap`` must be positive.
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    total = Fraction(0)
-    for s in t.summands:
-        if isinstance(s, UtilityVar):
-            if s.agent not in v:
-                raise UnboundVariable(s.agent)
-            val = v[s.agent]
-            if val is SATURATED:
-                return SATURATED
-            total += val
-        else:
-            total += s
-    return SATURATED if total > cap else total
 
 
 # --- concrete syntax --------------------------------------------------------
@@ -389,6 +365,12 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+#: Deepest nesting a guard or formula may have: each prefix operator,
+#: parenthesis and chained binary operator is one level.  Parsing and checking
+#: recurse over the tree and overflow Python's stack near 600 levels.
+MAX_NESTING = 100
+
+
 class TokenStream:
     """Cursor over a token list; shared by the constraint and formula parsers."""
 
@@ -396,6 +378,17 @@ class TokenStream:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # operator nesting at the cursor
+
+    def nest(self) -> None:
+        """Enter one more level; the caller restores ``depth`` on the way out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(
+                f"nested more than {MAX_NESTING} levels deep",
+                col=tok.pos if tok else len(self.text),
+            )
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -445,31 +438,41 @@ def parse_acf_tokens(ts: TokenStream) -> ConstraintFormula:
 
 
 def _parse_acf_or(ts: TokenStream) -> ConstraintFormula:
+    level = ts.depth
     f = _parse_acf_and(ts)
     while ts.at("|"):
         ts.take("|")
+        ts.nest()  # a chain builds a left-deep tree
         f = Or(f, _parse_acf_and(ts))
+    ts.depth = level
     return f
 
 
 def _parse_acf_and(ts: TokenStream) -> ConstraintFormula:
+    level = ts.depth
     f = _parse_acf_unary(ts)
     while ts.at("&"):
         ts.take("&")
+        ts.nest()
         f = And(f, _parse_acf_unary(ts))
+    ts.depth = level
     return f
 
 
 def _parse_acf_unary(ts: TokenStream) -> ConstraintFormula:
     if ts.at("!"):
         ts.take("!")
-        return Not(_parse_acf_unary(ts))
-    if ts.at("("):
+        ts.nest()
+        f = Not(_parse_acf_unary(ts))
+    elif ts.at("("):
         ts.take("(")
+        ts.nest()
         f = _parse_acf_or(ts)
         ts.take(")")
-        return f
-    return Atom(parse_atom_tokens(ts))
+    else:
+        return Atom(parse_atom_tokens(ts))
+    ts.depth -= 1
+    return f
 
 
 def parse_atom_tokens(ts: TokenStream) -> AtomicConstraint:

@@ -1,6 +1,8 @@
 """Model-checking engines for coalition formulas over guarded game models.
 
-Three engines with different scopes, plus a brute-force reference:
+Three engines with different scopes, plus a brute-force reference.  The
+first two share one fixpoint core (``_fixpoint`` over the controllable
+predecessor ``_cpre``) and differ only in the graph they run it on:
 
 ``check_atl``
     Qualitative fixpoint checking on the bare state graph (guards and
@@ -11,8 +13,9 @@ Three engines with different scopes, plus a brute-force reference:
     Exact checking for models whose payoffs are all non-negative and
     undiscounted.  Utilities then only grow, so every comparison against a
     constant stabilizes once a utility passes the largest constant B
-    mentioned anywhere; capping utilities at B+1 yields a finite graph on
-    which coalition fixpoints are exact.
+    mentioned anywhere; capping utilities at B+1 yields a finite graph of
+    configurations with guard-enabled moves, on which coalition fixpoints
+    are exact.
 
 ``check_bounded``
     Three-valued search for everything else.  Proponent strategies are
@@ -34,6 +37,7 @@ Three engines with different scopes, plus a brute-force reference:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -46,7 +50,7 @@ from .arith import (
     eval_atom,
     normalize_atom,
 )
-from .dynamics import Configuration, Play, step
+from .dynamics import Configuration, Play, play_value, step, successor
 from .errors import (
     FragmentError,
     GcgmpError,
@@ -176,7 +180,78 @@ class Budget:
         return self.max_nodes if self.max_nodes is not None else self.DEFAULT_NODES
 
 
-# --- qualitative fixpoints on the state graph --------------------------------
+# --- qualitative fixpoints ---------------------------------------------------
+
+
+def _cpre(agents, coalition, nodes, pools_of, succ_of, targets: frozenset) -> frozenset:
+    """Nodes from which the coalition can force the next node into targets.
+
+    The controllable predecessor of Alur, Henzinger & Kupferman (JACM 2002):
+    some joint coalition move such that every opponent response leads into
+    ``targets``.  ``pools_of(n)`` lists each agent's actions at ``n`` in
+    ``agents`` order, and ``succ_of(n, profile)`` is the successor.  When no
+    opponent has an action the coalition wins vacuously; when a member has
+    none it loses.
+    """
+    members = [a for a in agents if a in coalition]
+    others = [a for a in agents if a not in coalition]
+    out = set()
+    for n in nodes:
+        pool = dict(zip(agents, pools_of(n)))
+        for mv in itertools.product(*(pool[a] for a in members)):
+            if all(
+                succ_of(n, _weave(agents, members, mv, others, ov)) in targets
+                for ov in itertools.product(*(pool[a] for a in others))
+            ):
+                out.add(n)
+                break
+    return frozenset(out)
+
+
+def _weave(agents, members, mv, others, ov):
+    by_agent = dict(zip(members, mv))
+    by_agent.update(zip(others, ov))
+    return tuple(by_agent[a] for a in agents)
+
+
+def _fixpoint(f: Formula, every: frozenset, leaf, pre) -> frozenset:
+    """Satisfaction set of a state formula whose coalition bodies are X/G/U.
+
+    ``every`` is the node set, ``leaf(g)`` the nodes satisfying a formula
+    without connectives or modalities, and ``pre(coalition, z)`` the
+    controllable predecessor of ``z``.
+    """
+
+    def sat(g) -> frozenset:
+        if isinstance(g, Tru):
+            return every
+        if isinstance(g, Not):
+            return every - sat(g.sub)
+        if isinstance(g, And):
+            return sat(g.left) & sat(g.right)
+        if isinstance(g, Coop):
+            body = g.body
+            if isinstance(body, Next):
+                return pre(g.coalition, sat(body.sub))
+            if isinstance(body, Always):
+                phi = sat(body.sub)
+                z = every
+                while True:
+                    z2 = phi & pre(g.coalition, z)
+                    if z2 == z:
+                        return z
+                    z = z2
+            if isinstance(body, Until):
+                phi1, phi2 = sat(body.left), sat(body.right)
+                z = frozenset()
+                while True:
+                    z2 = phi2 | (phi1 & pre(g.coalition, z))
+                    if z2 == z:
+                        return z
+                    z = z2
+        return leaf(g)
+
+    return sat(f)
 
 
 def pre_states(m: Gcgmp, coalition: frozenset, targets: frozenset) -> frozenset:
@@ -184,29 +259,14 @@ def pre_states(m: Gcgmp, coalition: frozenset, targets: frozenset) -> frozenset:
 
     Pure state-graph reasoning: availability only, guards ignored.
     """
-    members = [a for a in m.agents if a in coalition]
-    others = [a for a in m.agents if a not in coalition]
-    out = set()
-    for s in m.states:
-        member_pools = [m.available_of(a, s) for a in members]
-        other_pools = [m.available_of(a, s) for a in others]
-        for mv in itertools.product(*member_pools):
-            ok = True
-            for ov in itertools.product(*other_pools):
-                prof = _weave(m, members, mv, others, ov)
-                if m.transitions[(s, prof)] not in targets:
-                    ok = False
-                    break
-            if ok:
-                out.add(s)
-                break
-    return frozenset(out)
-
-
-def _weave(m, members, mv, others, ov):
-    by_agent = dict(zip(members, mv))
-    by_agent.update(zip(others, ov))
-    return tuple(by_agent[a] for a in m.agents)
+    return _cpre(
+        m.agents,
+        coalition,
+        m.states,
+        lambda s: [m.available_of(a, s) for a in m.agents],
+        lambda s, prof: m.transitions[(s, prof)],
+        targets,
+    )
 
 
 def check_atl(m: Gcgmp, f: Formula) -> frozenset:
@@ -216,40 +276,13 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
             "the qualitative engine handles coalition formulas without "
             "utility comparisons only"
         )
-    all_states = frozenset(m.states)
 
-    def sat(g) -> frozenset:
-        if isinstance(g, Tru):
-            return all_states
+    def leaf(g) -> frozenset:
         if isinstance(g, Prop):
             return frozenset(s for s in m.states if g.name in m.label_of(s))
-        if isinstance(g, Not):
-            return all_states - sat(g.sub)
-        if isinstance(g, And):
-            return sat(g.left) & sat(g.right)
-        if isinstance(g, Coop):
-            body = g.body
-            if isinstance(body, Next):
-                return pre_states(m, g.coalition, sat(body.sub))
-            if isinstance(body, Always):
-                phi = sat(body.sub)
-                z = all_states
-                while True:
-                    z2 = phi & pre_states(m, g.coalition, z)
-                    if z2 == z:
-                        return z
-                    z = z2
-            if isinstance(body, Until):
-                phi1, phi2 = sat(body.left), sat(body.right)
-                z = frozenset()
-                while True:
-                    z2 = phi2 | (phi1 & pre_states(m, g.coalition, z))
-                    if z2 == z:
-                        return z
-                    z = z2
         raise FragmentError(f"unsupported node in qualitative checking: {g!r}")
 
-    return sat(f)
+    return _fixpoint(f, frozenset(m.states), leaf, lambda co, z: pre_states(m, co, z))
 
 
 # --- saturation engine -------------------------------------------------------
@@ -258,18 +291,12 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
 # exact Fraction in [0, cap] or the SATURATED marker (meaning: exceeded cap,
 # hence beyond every constant the formula or the guards mention).
 
-SatNode = tuple
-
 
 def _sat_atom(a: AtomicConstraint, valuation: dict) -> bool:
     kind = normalize_atom(a)
     if kind[0] == "const":
         return kind[1]
-    if kind[0] == "mixed":
-        raise VariableVsVariableAtom(
-            "saturation cannot decide comparisons between two utility terms"
-        )
-    _, counts, rel, d = kind
+    _, counts, rel, d = kind  # saturation_cap has refused "mixed" atoms
     total = Fraction(0)
     for var, n in counts.items():
         v = valuation[var]
@@ -347,92 +374,42 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             return SATURATED
         return clamp(u + pay)
 
-    root: SatNode = (c0.state, tuple(clamp(u) for u in c0.utilities))
-
-    def valuation(node: SatNode) -> dict:
-        return dict(zip(m.agents, node[1]))
-
-    def enabled(node: SatNode, agent: str) -> list:
-        val = valuation(node)
-        out = []
-        for act in m.available_of(agent, node[0]):
-            if _sat_acf(m.guard_of(agent, node[0], act), {agent: val[agent]}):
-                out.append(act)
-        return out
-
-    # breadth-first closure of the capped configuration graph
-    nodes: list[SatNode] = [root]
+    # breadth-first closure of the capped configuration graph, keeping each
+    # node's guard-enabled actions per agent
+    root = (c0.state, tuple(clamp(u) for u in c0.utilities))
+    pools: dict[tuple, list] = {}
+    succ: dict[tuple, tuple] = {}
     seen = {root}
-    succ: dict[tuple, SatNode] = {}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        node = queue.pop(0)
-        pools = [enabled(node, a) for a in m.agents]
-        for prof in itertools.product(*pools):
-            target = m.transitions[(node[0], prof)]
-            pays = m.payoffs[(node[0], prof)]
-            nxt = (target, tuple(bump(u, p) for u, p in zip(node[1], pays)))
+        node = queue.popleft()
+        s, us = node
+        pools[node] = [
+            [act for act in m.available_of(a, s) if _sat_acf(m.guard_of(a, s, act), {a: u})]
+            for a, u in zip(m.agents, us)
+        ]
+        for prof in itertools.product(*pools[node]):
+            pays = m.payoffs[(s, prof)]
+            nxt = (m.transitions[(s, prof)], tuple(bump(u, p) for u, p in zip(us, pays)))
             succ[(node, prof)] = nxt
             if nxt not in seen:
                 seen.add(nxt)
-                nodes.append(nxt)
                 queue.append(nxt)
 
-    all_nodes = frozenset(nodes)
-
-    def pre(coalition, targets: frozenset) -> frozenset:
-        members = [a for a in m.agents if a in coalition]
-        others = [a for a in m.agents if a not in coalition]
-        out = set()
-        for node in nodes:
-            member_pools = [enabled(node, a) for a in members]
-            other_pools = [enabled(node, a) for a in others]
-            for mv in itertools.product(*member_pools):
-                ok = True
-                for ov in itertools.product(*other_pools):
-                    prof = _weave(m, members, mv, others, ov)
-                    if succ[(node, prof)] not in targets:
-                        ok = False
-                        break
-                if ok:
-                    out.add(node)
-                    break
-        return frozenset(out)
-
-    def sat(g) -> frozenset:
-        if isinstance(g, Tru):
-            return all_nodes
+    def leaf(g) -> frozenset:
         if isinstance(g, Prop):
-            return frozenset(n for n in nodes if g.name in m.label_of(n[0]))
+            return frozenset(n for n in pools if g.name in m.label_of(n[0]))
         if isinstance(g, Constraint):
-            return frozenset(n for n in nodes if _sat_atom(g.atom, valuation(n)))
-        if isinstance(g, Not):
-            return all_nodes - sat(g.sub)
-        if isinstance(g, And):
-            return sat(g.left) & sat(g.right)
-        if isinstance(g, Coop):
-            body = g.body
-            if isinstance(body, Next):
-                return pre(g.coalition, sat(body.sub))
-            if isinstance(body, Always):
-                phi = sat(body.sub)
-                z = all_nodes
-                while True:
-                    z2 = phi & pre(g.coalition, z)
-                    if z2 == z:
-                        return z
-                    z = z2
-            if isinstance(body, Until):
-                phi1, phi2 = sat(body.left), sat(body.right)
-                z = frozenset()
-                while True:
-                    z2 = phi2 | (phi1 & pre(g.coalition, z))
-                    if z2 == z:
-                        return z
-                    z = z2
+            return frozenset(n for n in pools if _sat_atom(g.atom, dict(zip(m.agents, n[1]))))
         raise FragmentError(f"unsupported node in saturation checking: {g!r}")
 
-    return Verdict(root in sat(f))
+    def pre(coalition, z: frozenset) -> frozenset:
+        return _cpre(
+            m.agents, coalition, pools, pools.__getitem__,
+            lambda n, prof: succ[(n, prof)], z,
+        )
+
+    return Verdict(root in _fixpoint(f, frozenset(pools), leaf, pre))
 
 
 # --- bounded engine ----------------------------------------------------------
@@ -462,8 +439,6 @@ class _Ctx:
     sp: StrategyClassSpec
     so: StrategyClassSpec
     budget: Budget
-    closure_ok: bool  # every discount 0 or 1
-    frac_d: bool  # some discount strictly between 0 and 1
     memo: dict = field(default_factory=dict)
     nodes_used: int = 0
     enabled_cache: dict = field(default_factory=dict)
@@ -491,23 +466,10 @@ class _Ctx:
         the result so repeated configurations share one object (and one
         cached hash).
         """
-        lkey = l if self.frac_d else 0
-        key = (c, prof, lkey)
+        key = (c, prof, l if self.m.step_indexed else 0)
         hit = self.succ_cache.get(key)
         if hit is None:
-            m = self.m
-            target = m.transitions[(c.state, prof)]
-            pays = m.payoffs[(c.state, prof)]
-            us = []
-            for a, u, p in zip(m.agents, c.utilities, pays):
-                d = m.discounts[a]
-                if d == 1:
-                    us.append(u + p)
-                elif d == 0:
-                    us.append(u)
-                else:
-                    us.append(u + d**l * p)
-            hit = Configuration(target, tuple(us))
+            hit = successor(self.m, c, prof, l)
             self.succ_cache[key] = hit
         return hit
 
@@ -696,9 +658,11 @@ class _CoopSolver:
             if value is False:
                 self.saw_refutation = True
                 if record is not None and len(self.records) < 50:
+                    # a point with no enabled coalition move commits to nothing
                     record["refutes"] = {
                         _obs_str(self.points[i].key): list(self.points[i].move)
                         for i in sorted(conflict)
+                        if self.points[i].alts
                     }
                     self.records.append(record)
                 if not conflict:
@@ -770,7 +734,7 @@ class _CoopSolver:
             machine = ("U", phi1, phi2, best, pcond)
 
         # lasso closure: an exact repeat pins the infinite play
-        if pos >= 1 and ctx.closure_ok:
+        if pos >= 1 and ctx.m.lassos_close:
             j = path_index.get(c)
             if j is not None and j < pos:
                 v = self._closure_verdict(machine, path_configs, path_profiles, j)
@@ -820,7 +784,7 @@ class _CoopSolver:
                         break
                 if not ok:
                     continue  # the committed opponent action is no longer legal
-            prof = _weave(ctx.m, self.members, move, self.others, resp)
+            prof = _weave(ctx.m.agents, self.members, move, self.others, resp)
             c2 = ctx.succ(c, prof, l)
             pushed = False
             if (
@@ -860,23 +824,18 @@ class _CoopSolver:
         if kind == "U":
             return machine[3] if machine[3] is not True else None
         if kind == "APC":
-            pc = machine[1]
             play = Play(
                 tuple(path_configs), tuple(path_profiles), j, start_index=self.l0
             )
             try:
-                from .dynamics import play_value
-
-                value = play_value(self.ctx.m, play, pc.agent)
+                return check_apc_play(self.ctx.m, play, machine[1])
             except GcgmpError:
                 return None
-            return _REL_FN[pc.rel](value, pc.bound)
         return None  # X resolves positionally, never via closure
 
 
 def _eval_state(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
-    lkey = l if ctx.frac_d else None
-    key = (g, c, lkey)
+    key = (g, c, l if ctx.m.step_indexed else None)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
@@ -936,9 +895,7 @@ def check_bounded(
     if isinstance(budget, int):
         budget = Budget(budget)
     _check_supported(f)
-    closure_ok = all(d == 0 or d == 1 for d in m.discounts.values())
-    frac_d = any(0 < d < 1 for d in m.discounts.values())
-    ctx = _Ctx(m, sp, so, budget, closure_ok, frac_d)
+    ctx = _Ctx(m, sp, so, budget)
     rungs = _ladder(budget.depth)
     i = 0
     while i < len(rungs):
@@ -972,8 +929,6 @@ def check_bounded(
 
 def check_apc_play(m: Gcgmp, p: Play, apc: PathConstraint) -> bool:
     """Whether the lasso's long-run value satisfies the comparison."""
-    from .dynamics import play_value
-
     return _REL_FN[apc.rel](play_value(m, p, apc.agent), apc.bound)
 
 
@@ -991,9 +946,7 @@ def replay_strategy_table(
     machine0 = _body_machine(f.body)
     members = [a for a in m.agents if a in f.coalition]
     others = [a for a in m.agents if a not in f.coalition]
-    closure_ok = all(d == 0 or d == 1 for d in m.discounts.values())
-    frac_d = any(0 < d < 1 for d in m.discounts.values())
-    ctx = _Ctx(m, table.spec, so, Budget(depth), closure_ok, frac_d)
+    ctx = _Ctx(m, table.spec, so, Budget(depth))
 
     def eval_sub(g, c, l):
         return _eval_state(ctx, g, c, l, depth)
@@ -1018,7 +971,7 @@ def replay_strategy_table(
             if pcond is False:
                 return best if best is False else None
             machine = ("U", phi1, phi2, best, pcond)
-        if pos >= 1 and closure_ok:
+        if pos >= 1 and m.lassos_close:
             for j, prev in enumerate(path_configs[:-1]):
                 if prev == c:
                     if kind == "G":
@@ -1071,7 +1024,7 @@ def replay_strategy_table(
                     for a, act in zip(others, resp)
                 ):
                     continue
-            prof = _weave(m, members, move, others, resp)
+            prof = _weave(m.agents, members, move, others, resp)
             c2 = step(m, c, prof, l)
             pushed = False
             if others and committed is None and so.memory is StrategyMemory.MEMORYLESS:
@@ -1116,8 +1069,6 @@ def enumerate_oracle(
     if depth > 8:
         raise TooLarge(f"depth {depth} is beyond the oracle's scale")
     _check_supported(f)
-    closure_ok = all(d == 0 or d == 1 for d in m.discounts.values())
-    frac_d = any(0 < d < 1 for d in m.discounts.values())
     memo: dict = {}
     counter = {"plays": 0}
 
@@ -1127,8 +1078,7 @@ def enumerate_oracle(
             raise TooLarge("oracle enumeration exceeded its play budget")
 
     def eval_sf(g, c, l) -> Vb:
-        lkey = l if frac_d else None
-        key = (g, c, lkey)
+        key = (g, c, l if m.step_indexed else None)
         if key in memo:
             return memo[key]
         if isinstance(g, Tru):
@@ -1234,7 +1184,7 @@ def enumerate_oracle(
                 spend()
                 c = configs[-1]
                 pos = len(profiles)
-                if closure_ok and pos >= 1:
+                if m.lassos_close and pos >= 1:
                     for j in range(pos):
                         if configs[j] == c:
                             out.append((configs, profiles, j, False))
@@ -1267,7 +1217,7 @@ def enumerate_oracle(
                     if others and not responses:
                         return
                 for resp in responses:
-                    prof = _weave(m, members, move, others, resp)
+                    prof = _weave(m.agents, members, move, others, resp)
                     c2 = step(m, c, prof, l0 + pos)
                     pushed = False
                     if (

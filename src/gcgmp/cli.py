@@ -466,8 +466,6 @@ def cmd_encode_tcm(args):
 def cmd_export_graph(args):
     m = _load_model(args.model)
     init = _parse_init(m, args.init)
-    if args.bound < 0:
-        raise CliInputError("--bound must be non-negative")
     result = explore(m, init, args.bound)
     dot = to_dot(result)
     report = {
@@ -558,6 +556,9 @@ def main(argv=None) -> int:
     threads = _thread_cap()
     t0 = time.perf_counter()
     try:
+        for flag in ("depth", "steps", "bound"):  # step counts, never negative
+            if (getattr(args, flag, None) or 0) < 0:
+                raise CliInputError(f"--{flag} must be non-negative")
         report, code = args.handler(args)
     except CliInputError as e:
         print(f"gcgmp: {e}", file=sys.stderr)

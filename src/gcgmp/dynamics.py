@@ -41,9 +41,6 @@ class Configuration:
     state: str
     utilities: tuple[Fraction, ...]  # one per agent, in model agent order
 
-    def utility_of(self, m: Gcgmp, agent: str) -> Fraction:
-        return self.utilities[m.agent_index(agent)]
-
     def __hash__(self):
         # configurations are hashed constantly as search keys, and hashing
         # a tuple of Fractions is not cheap, so compute once
@@ -66,10 +63,6 @@ def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:
                 f"expected {len(m.agents)} utilities, got {len(utilities)}"
             )
     return Configuration(state, utilities)
-
-
-def valuation_of(m: Gcgmp, c: Configuration) -> dict[str, Fraction]:
-    return dict(zip(m.agents, c.utilities))
 
 
 def enabled_actions(m: Gcgmp, c: Configuration, agent: str) -> frozenset[str]:
@@ -107,13 +100,25 @@ def step(m: Gcgmp, c: Configuration, profile: Profile, step_index: int = 1) -> C
     if blocked:
         agent, act, why = min(blocked, key=lambda b: b[0])
         raise GuardViolation(agent, act, step_index, reason=why)
-    target = m.transitions[(c.state, profile)]
-    pay = m.payoffs[(c.state, profile)]
-    new_u = tuple(
-        u + m.discounts[a] ** step_index * p
-        for a, u, p in zip(m.agents, c.utilities, pay)
-    )
-    return Configuration(target, new_u)
+    return successor(m, c, profile, step_index)
+
+
+def successor(m: Gcgmp, c: Configuration, profile: Profile, step_index: int) -> Configuration:
+    """The configuration one unchecked step later: no availability or guard test.
+
+    Discounts 1 and 0 (at positive step indices) take a shortcut around the
+    ``Fraction`` power, which dominates deep undiscounted searches.
+    """
+    us = []
+    for a, u, p in zip(m.agents, c.utilities, m.payoffs[(c.state, profile)]):
+        d = m.discounts[a]
+        if d == 1:
+            us.append(u + p)
+        elif d == 0 and step_index > 0:
+            us.append(u)
+        else:
+            us.append(u + d**step_index * p)
+    return Configuration(m.transitions[(c.state, profile)], tuple(us))
 
 
 @dataclass(frozen=True)
@@ -330,10 +335,6 @@ class ExploreResult:
     unexpanded: frozenset = frozenset()
 
 
-def _needs_step_index(m: Gcgmp) -> bool:
-    return any(0 < d < 1 for d in m.discounts.values())
-
-
 def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> ExploreResult:
     """Breadth-first expansion of the guarded configuration graph.
 
@@ -342,7 +343,7 @@ def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> 
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    indexed = _needs_step_index(m)
+    indexed = m.step_indexed
 
     def key(c: Configuration, l: int):
         return (c, l) if indexed else c

@@ -325,19 +325,29 @@ def _mk_or(a: Formula, b: Formula) -> Formula:
     return Not(And(Not(a), Not(b)))
 
 
+# Each operator nests one level (arith.MAX_NESTING caps the total); a
+# function that nests restores ``ts.depth`` before it returns.
+
+
 def _parse_or(ts: TokenStream) -> Formula:
+    level = ts.depth
     f = _parse_and(ts)
     while ts.at("|"):
         ts.take("|")
+        ts.nest()  # a chain builds a left-deep tree
         f = _mk_or(f, _parse_and(ts))
+    ts.depth = level
     return f
 
 
 def _parse_and(ts: TokenStream) -> Formula:
+    level = ts.depth
     f = _parse_until(ts)
     while ts.at("&"):
         ts.take("&")
+        ts.nest()
         f = And(f, _parse_until(ts))
+    ts.depth = level
     return f
 
 
@@ -346,7 +356,9 @@ def _parse_until(ts: TokenStream) -> Formula:
     tok = ts.peek()
     if tok is not None and tok.kind == "ident" and tok.value == "U":
         ts.take()
-        return Until(f, _parse_until(ts))
+        ts.nest()
+        f = Until(f, _parse_until(ts))
+        ts.depth -= 1
     return f
 
 
@@ -354,18 +366,19 @@ def _parse_unary(ts: TokenStream) -> Formula:
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of input", col=len(ts.text), expected="formula")
+    if tok.kind != "!" and not (tok.kind == "ident" and tok.value in ("X", "G", "F")):
+        return _parse_primary(ts)
+    ts.take()
+    ts.nest()
+    sub = _parse_unary(ts)
+    ts.depth -= 1
     if tok.kind == "!":
-        ts.take()
-        return Not(_parse_unary(ts))
-    if tok.kind == "ident" and tok.value in ("X", "G", "F"):
-        ts.take()
-        sub = _parse_unary(ts)
-        if tok.value == "X":
-            return Next(sub)
-        if tok.value == "G":
-            return Always(sub)
-        return Until(TRUE, sub)
-    return _parse_primary(ts)
+        return Not(sub)
+    if tok.value == "X":
+        return Next(sub)
+    if tok.value == "G":
+        return Always(sub)
+    return Until(TRUE, sub)
 
 
 def _parse_primary(ts: TokenStream) -> Formula:
@@ -374,11 +387,14 @@ def _parse_primary(ts: TokenStream) -> Formula:
         raise ParseError("unexpected end of input", col=len(ts.text), expected="formula")
     if tok.kind == "(":
         ts.take()
+        ts.nest()
         f = _parse_or(ts)
         ts.take(")")
+        ts.depth -= 1
         return f
     if tok.kind == "<<":
         ts.take()
+        ts.nest()
         agents = []
         while not ts.at(">>"):
             el = ts.peek()
@@ -391,6 +407,7 @@ def _parse_primary(ts: TokenStream) -> Formula:
                 ts.take(",")
         ts.take(">>")
         body = _parse_or(ts)  # the modality swallows the whole path formula
+        ts.depth -= 1
         return Coop(frozenset(agents), body)
     if tok.kind == "wvar":
         return Apc(arith.parse_apc_tokens(ts))

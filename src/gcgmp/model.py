@@ -41,6 +41,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -72,6 +73,19 @@ class Gcgmp:
     guards: Mapping[tuple[str, str, str], ConstraintFormula]  # (agent, state, action)
     discounts: Mapping[str, Fraction]
     value_semantics: ValueSemantics = ValueSemantics.TOTAL
+
+    # -- discount classification, computed once and then a plain attribute --
+
+    @cached_property
+    def step_indexed(self) -> bool:
+        """Some 0 < d < 1: increments depend on the step index, so equal
+        configurations at different steps are different search nodes."""
+        return any(0 < d < 1 for d in self.discounts.values())
+
+    @cached_property
+    def lassos_close(self) -> bool:
+        """Every d is 0 or 1: a repeated configuration closes a lasso."""
+        return all(d == 0 or d == 1 for d in self.discounts.values())
 
     # -- lookups with defaults -------------------------------------------
 
@@ -312,6 +326,12 @@ def _mapping(x, where) -> Mapping:
     return x
 
 
+def _names(x, where) -> tuple:
+    if not isinstance(x, (list, tuple)):
+        raise ParseError(f"{where}: expected a list, got {type(x).__name__}")
+    return tuple(x)
+
+
 def _profile_from_map(agents, entry, where) -> Profile:
     """An action profile written as a {agent: action} map covering every agent."""
     if not isinstance(entry, Mapping):
@@ -408,29 +428,35 @@ def _load_guards(table) -> dict[tuple[str, str, str], ConstraintFormula]:
 
 def model_from_dict(doc: dict) -> Gcgmp:
     """Build a model from either dialect (see the module docstring)."""
-    unknown = set(doc) - _FIELDS
+    unknown = set(_mapping(doc, "model")) - _FIELDS
     if unknown:
         raise ValueError(f"unknown model fields: {', '.join(sorted(unknown))}")
-    agents = tuple(doc.get("agents", ()))
-    states = tuple(doc.get("states", ()))
+    agents = _names(doc.get("agents", ()), "agents")
+    states = _names(doc.get("states", ()), "states")
     for kind, seq in (("agent", agents), ("state", states)):
         dup = sorted({x for x in seq if seq.count(x) > 1})
         if dup:
             raise ParseError(f"duplicate {kind} id: {', '.join(dup)}")
-    actions = {a: tuple(acts) for a, acts in doc.get("actions", {}).items()}
+    actions = {
+        a: _names(acts, f"actions of {a!r}")
+        for a, acts in _mapping(doc.get("actions", {}), "actions").items()
+    }
     for a, acts in actions.items():
         if any("," in str(act) for act in acts):
             raise ParseError(f"actions of {a!r}: an action name may not contain ','")
 
     available: dict[tuple[str, str], tuple[str, ...]] = {}
-    for s, per_agent in doc.get("available", {}).items():
-        for a, acts in per_agent.items():
-            available[(a, s)] = tuple(acts)
+    for s, per_agent in _mapping(doc.get("available", {}), "available").items():
+        for a, acts in _mapping(per_agent, f"available at {s!r}").items():
+            available[(a, s)] = _names(acts, f"available to {a!r} at {s!r}")
     for a in agents:  # default: everything in the agent's alphabet
         for s in states:
             available.setdefault((a, s), actions.get(a, ()))
 
-    labels = {s: frozenset(atoms) for s, atoms in doc.get("labels", {}).items()}
+    labels = {
+        s: frozenset(_names(atoms, f"labels of {s!r}"))
+        for s, atoms in _mapping(doc.get("labels", {}), "labels").items()
+    }
     atoms = sorted(set().union(*labels.values()))
     declared = doc.get("atoms")
     if declared is not None and (
@@ -440,7 +466,8 @@ def model_from_dict(doc: dict) -> Gcgmp:
             f"declared atoms {declared!r} differ from the union of the labels {atoms!r}"
         )
     discounts = {
-        a: _rational(x, f"discount of {a!r}") for a, x in doc.get("discounts", {}).items()
+        a: _rational(x, f"discount of {a!r}")
+        for a, x in _mapping(doc.get("discounts", {}), "discounts").items()
     }
     for a in agents:
         discounts.setdefault(a, Fraction(1))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gcgmp import arith
 from gcgmp.arith import (
     ACF_TRUE,
-    SATURATED,
     And,
     Atom,
     AtomicConstraint,
@@ -25,7 +24,6 @@ from gcgmp.arith import (
     normalize_atom,
     parse_acf,
     parse_apc,
-    saturating_eval,
     term,
     validity_counterexample,
 )
@@ -146,24 +144,6 @@ class TestValidity:
 
     def test_tautology_from_negation(self):
         assert check_validity_single_var(parse_acf("!(v_I > 3 & v_I < 2)"))
-
-
-class TestSaturating:
-    def test_exact_below_cap(self):
-        assert saturating_eval(term("I", 1), {"I": F(3)}, cap=F(10)) == F(4)
-
-    def test_sum_over_cap_saturates(self):
-        assert saturating_eval(term("I", 1), {"I": F(10)}, cap=F(10)) is SATURATED
-
-    def test_at_cap_stays_exact(self):
-        assert saturating_eval(term("I"), {"I": F(10)}, cap=F(10)) == F(10)
-
-    def test_saturated_absorbs(self):
-        assert saturating_eval(term("I", -100), {"I": SATURATED}, cap=F(10)) is SATURATED
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            saturating_eval(term(1), {}, cap=F(0))
 
 
 class TestParsing:
@@ -291,15 +271,3 @@ def test_monotone_inputs_flip_sum_atom_at_most_twice(rel, count, d, increments):
         truths.append(eval_acf(Atom(a), {"I": x}))
     flips = sum(1 for p, q in zip(truths, truths[1:]) if p != q)
     assert flips <= (2 if rel == "=" else 1)
-
-
-@given(terms(), st.fractions(min_value=0, max_value=30, max_denominator=6))
-@settings(max_examples=150)
-def test_saturating_agrees_with_exact_below_cap(t, x):
-    cap = F(40)
-    out = saturating_eval(t, {"I": x}, cap)
-    exact = eval_term(t, {"I": x})
-    if exact <= cap:
-        assert out == exact
-    else:
-        assert out is SATURATED

@@ -813,3 +813,33 @@ class TestEngineAgreement:
             brute = enumerate_oracle(m, c0, f, ML_CONFIG, ML_CONFIG, depth=8).value
             if brute is not None:
                 assert brute == sat, text
+
+    def test_engines_agree_when_an_agent_has_no_enabled_action(self):
+        # b's only action at s is guarded v_b > 0, so at s:0,0 b cannot
+        # move: an opponent without moves refutes nothing, a member without
+        # moves cannot win (a library call on a model validate refuses)
+        m = model_from_dict(
+            {
+                "agents": ["a", "b"],
+                "states": ["s", "t"],
+                "actions": {"a": ["go"], "b": ["go"]},
+                "transitions": {"s": {"go,go": "t"}, "t": {"go,go": "t"}},
+                "payoffs": {"s": {"go,go": ["0", "0"]}, "t": {"go,go": ["0", "0"]}},
+                "labels": {"t": ["p"]},
+                "guards": {"b": {"s": {"go": "v_b > 0"}}},
+            }
+        )
+        c0 = Configuration("s", (F(0), F(0)))
+        cases = {
+            "<<a>> X p": True,
+            "<<b>> X p": False,
+            "<<a>> X !p": True,
+            "<<b>> G !p": False,
+            "<<a,b>> X p": False,
+            "<<>> X p": True,
+        }
+        for text, want in cases.items():
+            f = fml(m, text)
+            assert check_saturated(m, c0, f).value is want, text
+            assert check_bounded(m, c0, f, budget=4).value is want, text
+            assert enumerate_oracle(m, c0, f, depth=4).value is want, text

@@ -109,6 +109,25 @@ class TestValidate:
         assert "bad model file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"agents": "ab", "states": 5},
+            {"actions": [["inc", "skip"]]},
+            {"available": [["inc"]]},
+            {"labels": [["p"]]},
+            {"discounts": ["1"]},
+        ],
+        ids=["scalars", "actions", "available", "labels", "discounts"],
+    )
+    def test_bad_top_level_shapes_exit_2(self, capsys, tmp_path, fields):
+        doc = {**incskip_doc(), **fields}
+        code, report, err = run(capsys, "validate", write_model(tmp_path, doc))
+        assert code == 2
+        assert report is None
+        assert "bad model file" in err
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_bounded_refutes_the_pinned_safety_claim(self, capsys, fig1_path):
@@ -202,6 +221,8 @@ class TestCheck:
             ("<<zz>> X true", "does not fit"),
             ("G p1", "state formula"),
             ("<<I>> X p9", "does not fit"),
+            pytest.param("!" * 3000 + "p1", "bad formula", id="3000-negations"),
+            pytest.param("(" * 3000 + "p1" + ")" * 3000, "bad formula", id="3000-parentheses"),
         ],
     )
     def test_unusable_formulas_exit_2(self, capsys, formula, hint):
@@ -468,9 +489,17 @@ class TestExportGraph:
         assert code == 0
         assert report["dot"].startswith("digraph")
 
-    def test_negative_bound_exits_2(self, capsys):
-        code, _, _ = run(capsys, "export-graph", "builtin:fig1", "--bound", "-1")
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("check", "--depth"), ("simulate", "--steps"), ("export-graph", "--bound")],
+        ids=["check-depth", "simulate-steps", "export-graph-bound"],
+    )
+    def test_negative_bound_exits_2(self, capsys, command, flag):
+        formula = ["<<I>> X p1"] if command == "check" else []
+        code, report, err = run(capsys, command, "builtin:fig1", *formula, flag, "-1")
         assert code == 2
+        assert report is None
+        assert flag in err
 
 
 class TestReportHygiene:
