@@ -324,18 +324,18 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():
             j = i + 1 if ch == "-" else i
-            if j >= n or not text[j].isdigit():
+            if j >= n or not text[j].isdecimal():
                 raise ParseError("dangling '-'", col=i, expected="digits")
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num, den = text[i:j], "1"
             if j < n and text[j] == "/":
                 k = j + 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or not text[k].isdecimal():
                     raise ParseError("bad rational", col=j, expected="digits after '/'")
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 den = text[j + 1:k]
                 j = k

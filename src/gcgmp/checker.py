@@ -37,10 +37,11 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .arith import (
     _REL_FN,
@@ -50,7 +51,7 @@ from .arith import (
     eval_atom,
     normalize_atom,
 )
-from .dynamics import Configuration, Play, play_value, step, successor
+from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
 from .errors import (
     FragmentError,
     GcgmpError,
@@ -82,6 +83,7 @@ from .logic import (
 from .model import Gcgmp
 
 Vb = Union[bool, None]  # three-valued: None means "unknown"
+_NODES = get_args(Formula)
 
 
 def k_not(x: Vb) -> Vb:
@@ -423,7 +425,8 @@ class _BudgetStop(Exception):
 class _Point:
     """One proponent consultation point in the odometer."""
 
-    key: object
+    key: object  # _search_key of the observation
+    obs: object  # _strategy_key of the same observation, for reports
     alts: list  # coalition joint moves enabled where the point was created
     idx: int = 0
     blame: set = field(default_factory=set)
@@ -435,13 +438,27 @@ class _Point:
 
 @dataclass
 class _Ctx:
+    """Caches shared by every coalition node of one bounded check.
+
+    Configurations are interned: ``intern`` maps each one to the single
+    object that stands for it, the root included, so ``succ_cache`` and
+    ``pool_cache`` key on ``id(c)`` and equal configurations meet by
+    identity instead of comparing utilities.  ``pools(c)`` gives every
+    agent's guard-enabled actions at once, filled from ``enabled_cache`` on
+    (agent, state, own utility).  ``formula`` hash-conses formula nodes, so
+    the memo keys on ``id(g)`` and equal subformulas share its entries.
+    """
+
     m: Gcgmp
     sp: StrategyClassSpec
     so: StrategyClassSpec
     budget: Budget
     memo: dict = field(default_factory=dict)
     nodes_used: int = 0
+    canon: dict = field(default_factory=dict)
+    formulas: dict = field(default_factory=dict)
     enabled_cache: dict = field(default_factory=dict)
+    pool_cache: dict = field(default_factory=dict)
     succ_cache: dict = field(default_factory=dict)
 
     def tick(self):
@@ -449,28 +466,30 @@ class _Ctx:
         if self.nodes_used > self.budget.nodes:
             raise _BudgetStop()
 
-    def enabled(self, agent: str, c: Configuration) -> tuple:
-        """Guard-enabled actions, cached on (agent, state, own utility)."""
-        u = c.utilities[self.m.agent_index(agent)]
-        key = (agent, c.state, u)
-        hit = self.enabled_cache.get(key)
+    def intern(self, c: Configuration) -> Configuration:
+        return self.canon.setdefault(c, c)
+
+    def formula(self, g: Formula) -> Formula:
+        """The canonical copy of ``g``: equal subformulas become one object."""
+        kids = {k: self.formula(v) for k, v in vars(g).items() if isinstance(v, _NODES)}
+        if kids:
+            g = replace(g, **kids)
+        return self.formulas.setdefault(g, g)
+
+    def pools(self, c: Configuration) -> tuple:
+        """Guard-enabled actions of every agent, in agent order, at an
+        interned configuration."""
+        hit = self.pool_cache.get(id(c))
         if hit is None:
-            hit = self.m.enabled_actions(agent, c.state, u)
-            self.enabled_cache[key] = hit
+            hit = self.pool_cache[id(c)] = enabled_pools(self.m, c, self.enabled_cache)
         return hit
 
     def succ(self, c: Configuration, prof: tuple, l: int) -> Configuration:
-        """Successor configuration, assuming the profile is enabled.
-
-        Skips the guard re-check of the public step operation and interns
-        the result so repeated configurations share one object (and one
-        cached hash).
-        """
-        key = (c, prof, l if self.m.step_indexed else 0)
+        """Interned successor of an interned configuration; no guard re-check."""
+        key = (id(c), prof, l if self.m.step_indexed else 0)
         hit = self.succ_cache.get(key)
         if hit is None:
-            hit = successor(self.m, c, prof, l)
-            self.succ_cache[key] = hit
+            hit = self.succ_cache[key] = self.intern(successor(self.m, c, prof, l))
         return hit
 
 
@@ -535,6 +554,15 @@ def _strategy_key(spec: StrategyClassSpec, path_configs: list) -> object:
     return tuple(_obs(spec.observation, c) for c in path_configs)
 
 
+def _search_key(spec: StrategyClassSpec, path_configs: list) -> object:
+    """``_strategy_key`` with interned configurations standing for themselves by id."""
+    if spec.observation is StrategyObservation.STATE_BASED:
+        return _strategy_key(spec, path_configs)
+    if spec.memory is StrategyMemory.MEMORYLESS:
+        return id(path_configs[-1])
+    return tuple(map(id, path_configs))
+
+
 def observation_key(spec: StrategyClassSpec, configs) -> str:
     """The table key a strategy of this class consults after this history.
 
@@ -578,6 +606,12 @@ class _CoopSolver:
         m = ctx.m
         self.members = [a for a in m.agents if a in coop.coalition]
         self.others = [a for a in m.agents if a not in coop.coalition]
+        # agent positions of members and others, and a profile from move + resp
+        self.mi = [i for i, a in enumerate(m.agents) if a in coop.coalition]
+        self.oi = [i for i, a in enumerate(m.agents) if a not in coop.coalition]
+        if self.members and self.others:
+            order = sorted(range(len(m.agents)), key=(self.mi + self.oi).__getitem__)
+            self.weave = operator.itemgetter(*order)
         self.machine0 = _body_machine(coop.body)
         self.points: list[_Point] = []
         self.index: dict = {}
@@ -593,13 +627,14 @@ class _CoopSolver:
         point if it is new.  Returns (move, point_id, invalid)."""
         if not self.members:
             return (), None, False
-        key = _strategy_key(self.ctx.sp, path_configs)
+        key = _search_key(self.ctx.sp, path_configs)
         pid = self.index.get(key)
+        pools = self.ctx.pools(c)
         if pid is None or pid >= len(self.points) or self.points[pid].key != key:
-            pools = [self.ctx.enabled(a, c) for a in self.members]
-            alts = list(itertools.product(*pools))
+            alts = list(itertools.product(*[pools[i] for i in self.mi]))
             pid = len(self.points)
-            self.points.append(_Point(key, alts))
+            obs = _strategy_key(self.ctx.sp, path_configs)
+            self.points.append(_Point(key, obs, alts))
             self.index[key] = pid
         point = self.points[pid]
         self.sweep_consulted.add(pid)
@@ -608,8 +643,8 @@ class _CoopSolver:
         move = point.move
         # the committed action must be enabled here, not only where the
         # point was created
-        for a, act in zip(self.members, move):
-            if act not in self.ctx.enabled(a, c):
+        for i, act in zip(self.mi, move):
+            if act not in pools[i]:
                 return None, pid, True
         return move, pid, False
 
@@ -644,14 +679,7 @@ class _CoopSolver:
                 return None, None, None
             self.sweep_consulted = set()
             value, conflict, record = self._walk(
-                self.c0,
-                self.l0,
-                [self.c0],
-                [],
-                self.machine0,
-                {},
-                frozenset(),
-                {self.c0: 0},
+                self.c0, self.l0, [self.c0], [], self.machine0, {}, frozenset(), {id(self.c0): 0}
             )
             if value is True:
                 return True, self._witness(), None
@@ -660,7 +688,7 @@ class _CoopSolver:
                 if record is not None and len(self.records) < 50:
                     # a point with no enabled coalition move commits to nothing
                     record["refutes"] = {
-                        _obs_str(self.points[i].key): list(self.points[i].move)
+                        _obs_str(self.points[i].obs): list(self.points[i].move)
                         for i in sorted(conflict)
                         if self.points[i].alts
                     }
@@ -684,7 +712,7 @@ class _CoopSolver:
         moves: dict[str, dict[str, str]] = {a: {} for a in self.members}
         for pid in sorted(self.sweep_consulted):
             point = self.points[pid]
-            key = _obs_str(point.key)
+            key = _obs_str(point.obs)
             for a, act in zip(self.members, point.move):
                 moves[a][key] = act
         return StrategyTable(self.ctx.sp, tuple(self.members), moves)
@@ -710,22 +738,22 @@ class _CoopSolver:
         kind = machine[0]
         if kind == "X":
             if pos == 1:
-                v = _eval_state(ctx, machine[1], c, l, self.depth)
+                v = _eval_interned(ctx, machine[1], c, l, self.depth)
                 if v is False:
                     return False, consulted, _trace(ctx.m, path_configs, path_profiles)
                 return v, None, None
         elif kind == "G":
-            v = _eval_state(ctx, machine[1], c, l, self.depth)
+            v = _eval_interned(ctx, machine[1], c, l, self.depth)
             if v is False:
                 return False, consulted, _trace(ctx.m, path_configs, path_profiles)
             machine = ("G", machine[1], k_and(machine[2], v))
         elif kind == "U":
             _, phi1, phi2, best, pcond = machine
-            e2 = _eval_state(ctx, phi2, c, l, self.depth)
+            e2 = _eval_interned(ctx, phi2, c, l, self.depth)
             best = k_or(best, k_and(pcond, e2))
             if best is True:
                 return True, None, None
-            e1 = _eval_state(ctx, phi1, c, l, self.depth)
+            e1 = _eval_interned(ctx, phi1, c, l, self.depth)
             pcond = k_and(pcond, e1)
             if pcond is False:
                 if best is False:
@@ -735,7 +763,7 @@ class _CoopSolver:
 
         # lasso closure: an exact repeat pins the infinite play
         if pos >= 1 and ctx.m.lassos_close:
-            j = path_index.get(c)
+            j = path_index.get(id(c))
             if j is not None and j < pos:
                 v = self._closure_verdict(machine, path_configs, path_profiles, j)
                 if (
@@ -764,27 +792,23 @@ class _CoopSolver:
         if invalid:
             return False, consulted, _trace(ctx.m, path_configs, path_profiles)
 
-        tau_key = _strategy_key(ctx.so, path_configs) if self.others else None
+        pools = ctx.pools(c)
+        tau_key = _search_key(ctx.so, path_configs) if self.others else None
         committed = tau_store.get(tau_key) if self.others else None
         if committed is not None:
             responses = [committed]
         else:
-            pools = [ctx.enabled(a, c) for a in self.others]
-            responses = list(itertools.product(*pools))
+            responses = list(itertools.product(*[pools[i] for i in self.oi]))
             if self.others and not responses:
                 return True, None, None  # opponents are stuck: nothing to refute
 
         any_unknown = False
         for resp in responses:
-            if committed is not None:
-                ok = True
-                for a, act in zip(self.others, resp):
-                    if act not in ctx.enabled(a, c):
-                        ok = False
-                        break
-                if not ok:
-                    continue  # the committed opponent action is no longer legal
-            prof = _weave(ctx.m.agents, self.members, move, self.others, resp)
+            if committed is not None and not all(
+                act in pools[i] for i, act in zip(self.oi, resp)
+            ):
+                continue  # the committed opponent action is no longer legal
+            prof = resp if not self.members else self.weave(move + resp) if self.others else move
             c2 = ctx.succ(c, prof, l)
             pushed = False
             if (
@@ -794,21 +818,18 @@ class _CoopSolver:
             ):
                 tau_store[tau_key] = resp
                 pushed = True
-            fresh = c2 not in path_index
+            fresh = id(c2) not in path_index
             if fresh:
-                path_index[c2] = pos + 1
+                path_index[id(c2)] = pos + 1
+            path_configs.append(c2)
+            path_profiles.append(prof)
             value, conflict, record = self._walk(
-                c2,
-                l + 1,
-                path_configs + [c2],
-                path_profiles + [prof],
-                machine,
-                tau_store,
-                consulted,
-                path_index,
+                c2, l + 1, path_configs, path_profiles, machine, tau_store, consulted, path_index
             )
+            path_configs.pop()
+            path_profiles.pop()
             if fresh:
-                del path_index[c2]
+                del path_index[id(c2)]
             if pushed:
                 del tau_store[tau_key]
             if value is False:
@@ -835,7 +856,12 @@ class _CoopSolver:
 
 
 def _eval_state(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
-    key = (g, c, l if ctx.m.step_indexed else None)
+    """Three-valued value of state formula ``g`` at any configuration."""
+    return _eval_interned(ctx, g, ctx.intern(c), l, depth)
+
+
+def _eval_interned(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
+    key = (id(g), id(c), l if ctx.m.step_indexed else None)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
@@ -853,11 +879,11 @@ def _eval_state_raw(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
     if isinstance(g, Constraint):
         return eval_atom(g.atom, dict(zip(ctx.m.agents, c.utilities)))
     if isinstance(g, Not):
-        return k_not(_eval_state(ctx, g.sub, c, l, depth))
+        return k_not(_eval_interned(ctx, g.sub, c, l, depth))
     if isinstance(g, And):
         return k_and(
-            _eval_state(ctx, g.left, c, l, depth),
-            _eval_state(ctx, g.right, c, l, depth),
+            _eval_interned(ctx, g.left, c, l, depth),
+            _eval_interned(ctx, g.right, c, l, depth),
         )
     if isinstance(g, Coop):
         value, _, _ = _CoopSolver(ctx, g, c, l, depth).solve()
@@ -896,6 +922,8 @@ def check_bounded(
         budget = Budget(budget)
     _check_supported(f)
     ctx = _Ctx(m, sp, so, budget)
+    f = ctx.formula(f)
+    c0 = ctx.intern(c0)
     rungs = _ladder(budget.depth)
     i = 0
     while i < len(rungs):
@@ -918,7 +946,7 @@ def check_bounded(
                     i = len(rungs) - 1 if i < len(rungs) - 1 else len(rungs)
                     continue
             else:
-                value = _eval_state(ctx, f, c0, 1, depth)
+                value = _eval_interned(ctx, f, c0, 1, depth)
                 if value is not None:
                     return Verdict(value, bound_used=depth)
         except _BudgetStop:

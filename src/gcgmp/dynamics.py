@@ -73,12 +73,20 @@ def enabled_actions(m: Gcgmp, c: Configuration, agent: str) -> frozenset[str]:
     return frozenset(m.enabled_actions(agent, c.state, c.utilities[idx]))
 
 
+def enabled_pools(m: Gcgmp, c: Configuration, cache: dict) -> tuple:
+    """Each agent's guard-enabled actions at ``c``, in agent order.  ``cache``
+    keeps them on (agent, state, own utility), which is all a guard reads."""
+    pools = []
+    for key in zip(m.agents, itertools.repeat(c.state), c.utilities):
+        if key not in cache:
+            cache[key] = m.enabled_actions(*key)
+        pools.append(cache[key])
+    return tuple(pools)
+
+
 def enabled_profiles(m: Gcgmp, c: Configuration) -> Iterator[Profile]:
     """All action profiles whose every component guard accepts ``c``."""
-    pools = [
-        m.enabled_actions(a, c.state, c.utilities[i]) for i, a in enumerate(m.agents)
-    ]
-    return itertools.product(*pools)
+    return itertools.product(*enabled_pools(m, c, {}))
 
 
 def step(m: Gcgmp, c: Configuration, profile: Profile, step_index: int = 1) -> Configuration:
@@ -354,16 +362,17 @@ def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> 
     edges = []
     frontier = [(init, start_index)]
     unexpanded = set()
+    enabled: dict = {}
     for dist in range(depth + 1):
         nxt = []
         for c, l in frontier:
-            profs = list(enabled_profiles(m, c))
+            profs = list(itertools.product(*enabled_pools(m, c, enabled)))
             if dist == depth:
                 if profs:
                     unexpanded.add(key(c, l))
                 continue
-            for prof in profs:
-                c2 = step(m, c, prof, l)
+            for prof in profs:  # enabled already: no guard re-check
+                c2 = successor(m, c, prof, l)
                 k2 = key(c2, l + 1)
                 edges.append((key(c, l), prof, k2))
                 if k2 not in seen:

@@ -329,6 +329,9 @@ def _mapping(x, where) -> Mapping:
 def _names(x, where) -> tuple:
     if not isinstance(x, (list, tuple)):
         raise ParseError(f"{where}: expected a list, got {type(x).__name__}")
+    for name in x:
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: {name!r} is not a name")
     return tuple(x)
 
 

@@ -1,6 +1,9 @@
 """Engine tests: qualitative fixpoints, saturation, bounded search, oracle."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -39,6 +42,7 @@ from gcgmp.logic import (
     ML_STATE,
     PR_CONFIG,
     PR_STATE,
+    StrategyClassSpec,
     bind_formula,
     parse_formula,
 )
@@ -506,6 +510,77 @@ class TestBounded:
         f = fml(m, "<<a>> F (v_a >= 10)")
         assert check_bounded(m, c0, f, budget=Budget(3)).value is None
         assert check_bounded(m, c0, f, budget=Budget(12)).value is True
+
+    def test_equal_subformulas_share_the_memo(self, fig1):
+        # the node budget that just decides `A & true` also decides `A & A`
+        c0 = Configuration("s1", (F(0), F(0)))
+        single = fml(fig1, "(<<I>> X p1) & true")
+        double = fml(fig1, "(<<I>> X p1) & (<<I>> X p1)")
+        n = next(
+            n for n in itertools.count(1)
+            if check_bounded(fig1, c0, single, budget=Budget(2, max_nodes=n)).value
+            is not None
+        )
+        assert check_bounded(fig1, c0, double, budget=Budget(2, max_nodes=n)).value is True
+        assert check_bounded(fig1, c0, double, budget=Budget(2, max_nodes=n - 1)).value is None
+
+
+# Bounded-engine reports pinned byte for byte: sha256 of the sorted-key JSON
+# of Verdict.as_json().  Search order, witnesses and counterexamples must not
+# drift when the engine's representation changes.  "half" is fig1 with
+# player I discounted by 1/2, so successors and memo entries are step-indexed.
+BOUNDED_GOLDEN = [
+    ("fig1", "<<I,II>>(true U (p1 & v_I > 20 & v_II > 20))", 60, "ml-config", "pr-state",
+     "true", 16,
+     "561d47520105bf3712ad2e76af4c1dfd3fccc8be55de79fec0768de407286eca"),
+    ("fig1", "<<I,II>>(true U (p1 & v_I > 12 & v_II > 12))", 60, "pr-config", "pr-config",
+     "true", 8,
+     "83cd71c9f55f72d89b68b15c48a974cb366fd9aa9e193889ece8cd2bb000de78"),
+    ("fig1", "<<I,II>>(true U (p1 & v_I > 12 & v_II > 12))", 60, "pr-state", "ml-state",
+     "true", 8,
+     "e6a62220283181f95bd60ffd967013257658e707b7fb039d8ed6459d47b48a97"),
+    ("fig1", "<<I>> G (p1 | v_I > 0)", 150, "ml-config", "ml-config", "false", 8,
+     "709ae6a14b1dcca3b70c07b3c666301e6233662992001919c40e1c988f468285"),
+    ("fig1", "<<I>> G (p1 | v_I > 0)", 150, "pr-config", "ml-config", "false", 8,
+     "77b7db1cd9b4351420c6520cd61d926df7e02154e2e6105a4e3d9f856bab0dc6"),
+    ("fig1", "<<I,II>> G (v_I >= 0 & v_II >= 0)", 40, "ml-config", "ml-config", "true", 8,
+     "f9c43a25a712033a6526a833939b5bdf7ddb4588a856c9e34ec794ae79ca0e30"),
+    ("fig1", "(<<I>> X p1) & (<<I>> X p1)", 6, "ml-config", "ml-config", "true", 2,
+     "f2f20ca26f50557922af05fe41499a7277b71b58cacd133eb70cdeaa82cd6c12"),
+    ("fig1", "<<I,II>>(true U ((<<I>> X p1) & (<<I>> X p1) & v_I > 3))", 12,
+     "ml-config", "ml-config", "true", 4,
+     "b3248a2df6a0007c040476f3b25af987277498dbc763aba1f90c1f13f509bf70"),
+    ("half", "<<I,II>>(true U (p2 & v_I > 1 & v_II > 4))", 12, "ml-config", "ml-config", "true", 4,
+     "a010e8a1ba9bded9ef4e07a909cf5966b7bbf168fb8b17bd6a02eafbac27197a"),
+    ("half", "<<I>> G (p1 | v_II < 2)", 8, "ml-config", "ml-config", "false", 4,
+     "29d6a3b62a9de447136af9c0f6776d5e1614f756db50ca97759f58d791bff57e"),
+    ("half", "<<I>> G (p1 | v_II < 2)", 8, "pr-config", "ml-config", "false", 4,
+     "56d7ff7e303b4a295359e0d414f0886ade13a5b63e32b8f35a080d5d0eed14c6"),
+    ("half", "<<I>> (true U p2)", 8, "pr-config", "ml-config", "true", 4,
+     "b1ac05454d6d72c65efc8b28f52f6a5946ceaad3a2e849a2a643b2b736c64708"),
+    ("half", "<<I>> G (p1 | v_I > 0)", 4, "ml-config", "ml-config", "unknown", 4,
+     "e2cc2c9a46953d6bae1a814abdcd85579795ec46f4d0bf9baf4a87340dd5266a"),
+    ("half", "!(<<I,II>> X (p2 & v_I > 0))", 6, "ml-config", "ml-config", "true", 2,
+     "f2f20ca26f50557922af05fe41499a7277b71b58cacd133eb70cdeaa82cd6c12"),
+]
+
+
+@pytest.mark.parametrize("model, text, depth, sp, so, verdict, bound, digest", BOUNDED_GOLDEN)
+def test_bounded_reports_are_pinned(fig1, model, text, depth, sp, so, verdict, bound, digest):
+    if model == "half":
+        fig1 = dataclasses.replace(fig1, discounts={"I": F(1, 2), "II": F(1)})
+    v = check_bounded(
+        fig1,
+        Configuration("s1", (F(0), F(0))),
+        fml(fig1, text),
+        StrategyClassSpec.parse(sp),
+        StrategyClassSpec.parse(so),
+        Budget(depth),
+    )
+    doc = v.as_json()
+    assert (doc["verdict"], doc.get("bound_used")) == (verdict, bound)
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 # --- play-value checks -------------------------------------------------------

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gcgmp.cli import main
 from gcgmp.model import builtin_fig1, dump_model, model_from_dict, model_to_dict, validate
@@ -117,8 +119,15 @@ class TestValidate:
             {"available": [["inc"]]},
             {"labels": [["p"]]},
             {"discounts": ["1"]},
+            {"labels": {"s": [["p1"]]}},
+            {"labels": {"s": [1, "p1"]}},
+            {"states": [["s"]]},
+            {"agents": [["a"]]},
         ],
-        ids=["scalars", "actions", "available", "labels", "discounts"],
+        ids=[
+            "scalars", "actions", "available", "labels", "discounts",
+            "list-label", "mixed-labels", "list-state", "list-agent",
+        ],
     )
     def test_bad_top_level_shapes_exit_2(self, capsys, tmp_path, fields):
         doc = {**incskip_doc(), **fields}
@@ -223,6 +232,7 @@ class TestCheck:
             ("<<I>> X p9", "does not fit"),
             pytest.param("!" * 3000 + "p1", "bad formula", id="3000-negations"),
             pytest.param("(" * 3000 + "p1" + ")" * 3000, "bad formula", id="3000-parentheses"),
+            pytest.param("<<I>> X (v_I > \u00b9)", "bad formula", id="superscript-digit"),
         ],
     )
     def test_unusable_formulas_exit_2(self, capsys, formula, hint):
@@ -542,3 +552,91 @@ class TestReportHygiene:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+
+# --- the exit-code contract under fuzzing ---------------------------------
+
+_FIELDS = sorted(model_to_dict(builtin_fig1()))  # every top-level model field
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from([
+        "s", "t", "a", "b", "inc", "skip", "p", "1/2", "-1", "1/0", "inc,skip",
+        "v_a >= 1", "v_b < 0", "mean", "total", "discounted", "",
+    ])
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["s", "t", "a", "inc"]) | st.text(max_size=3), kids,
+                      max_size=3),
+    max_leaves=8,
+)
+_TOKENS = [
+    "<<a>>", "<<>>", "<<b>>", "<<a,a>>", "X", "G", "F", "U", "!", "&", "|", "(", ")",
+    "true", "false", "p", "q", "v_a", "v_b", "w_a", ">", ">=", "<=", "=", "1", "1/2",
+    "-1", "2*v_a", "+",
+]
+_FORMULAS = [  # well-formed for incskip_doc(), so that the engines run too
+    "<<a>> X true", "<<a>> G (v_a <= 2)", "<<a>> (true U v_a >= 3)", "<<>> G (v_a < 1/2)",
+    "!(<<a>> X (v_a > 0))", "<<a>> (w_a > 0)", "(<<a>> F v_a = 2) & <<a>> G v_a >= 0",
+]
+_INITS = [
+    "s", "t", "s:", "s:1", "s:1/2", "s: -1", "s:1,2", "s:x", ":1", "s:1/0", "s:1e3", "s:nan",
+]
+
+
+@st.composite
+def mutated_models(draw):
+    """incskip_doc() with up to three entries, at any depth, replaced or deleted."""
+    doc = incskip_doc()
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            if isinstance(node, dict):
+                keys = list(node) + (_FIELDS if node is doc else ["s", "t", "a", "inc"])
+            else:
+                keys = list(range(len(node)))
+            key = draw(st.sampled_from(keys))
+            child = node.get(key) if isinstance(node, dict) else node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.integers(0, 3)) == 0:
+                node.pop(key, None)
+            else:
+                node[key] = draw(_JSON)
+            break
+    return doc
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        doc=mutated_models(),
+        formula=st.sampled_from(_FORMULAS)
+        | st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=10).map(" ".join)
+        | st.text(max_size=10),
+        init=st.sampled_from(_INITS) | st.text(max_size=6),
+        engine=st.sampled_from(["auto", "atl", "saturated", "bounded"]),
+    )
+    def test_any_input_keeps_the_contract(self, capsys, tmp_path, doc, formula, init, engine):
+        path = write_model(tmp_path, doc)
+        check = ["check", path, f"--init={init}", "--depth", "4", "--engine", engine, "--", formula]
+        for argv in (["validate", path], check):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refusing the command line
+                code = e.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3)
+            if out.strip():
+                json.loads(out)  # exactly one JSON document
+            assert "Traceback" not in err

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -336,6 +337,16 @@ class TestExplore:
         assert r.bound == 1
         assert r.truncated == bool(r.unexpanded)
         assert r.unexpanded == {Configuration("s1", (F(2), F(2)))}
+
+    @pytest.mark.parametrize("discount_i", [F(1), F(1, 2)], ids=["undiscounted", "half"])
+    def test_every_edge_is_a_guarded_step(self, discount_i):
+        # explore steps the enabled profiles without re-checking their guards
+        m = replace(builtin_fig1(), discounts={"I": discount_i, "II": F(1)})
+        r = explore(m, initial_config(m, "s1"), 8)
+        assert len(r.edges) > 100
+        for src, prof, dst in r.edges:
+            (c, l), c2 = (src, dst[0]) if r.step_indexed else ((src, 1), dst)
+            assert step(m, c, prof, l) == c2
 
     def test_dot_output(self):
         m = builtin_fig1()
