@@ -283,26 +283,6 @@ def check_validity_single_var(f: ConstraintFormula) -> bool:
     return validity_counterexample(f) is None
 
 
-# --- the saturation marker --------------------------------------------------
-
-
-class _Saturated:
-    """Absorbing marker for utility values that grew past the cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "SATURATED"
-
-
-SATURATED = _Saturated()
-
-
 # --- concrete syntax --------------------------------------------------------
 
 _PUNCT = ("<<", ">>", "<=", ">=", "<", ">", "=", "(", ")", "!", "&", "|", "+", ",")

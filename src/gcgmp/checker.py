@@ -13,9 +13,9 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
     Exact checking for models whose payoffs are all non-negative and
     undiscounted.  Utilities then only grow, so every comparison against a
     constant stabilizes once a utility passes the largest constant B
-    mentioned anywhere; capping utilities at B+1 yields a finite graph of
-    configurations with guard-enabled moves, on which coalition fixpoints
-    are exact.
+    mentioned anywhere; clamping utilities to B+1 yields a finite graph of
+    configurations, stepped by ``dynamics.successor`` under guard-enabled
+    moves, on which coalition fixpoints are exact.
 
 ``check_bounded``
     Three-valued search for everything else.  Proponent strategies are
@@ -43,14 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union, get_args
 
-from .arith import (
-    _REL_FN,
-    SATURATED,
-    AtomicConstraint,
-    PathConstraint,
-    eval_atom,
-    normalize_atom,
-)
+from .arith import _REL_FN, PathConstraint, eval_atom, normalize_atom
 from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
 from .errors import (
     FragmentError,
@@ -289,40 +282,6 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
 
 # --- saturation engine -------------------------------------------------------
 
-# A saturated node is (state, utilities) where each utility is either an
-# exact Fraction in [0, cap] or the SATURATED marker (meaning: exceeded cap,
-# hence beyond every constant the formula or the guards mention).
-
-
-def _sat_atom(a: AtomicConstraint, valuation: dict) -> bool:
-    kind = normalize_atom(a)
-    if kind[0] == "const":
-        return kind[1]
-    _, counts, rel, d = kind  # saturation_cap has refused "mixed" atoms
-    total = Fraction(0)
-    for var, n in counts.items():
-        v = valuation[var]
-        if v is SATURATED:
-            # the saturated utility alone already exceeds every constant,
-            # and all other summands are non-negative here
-            return rel in (">", ">=")
-        total += n * v
-    return _REL_FN[rel](total, d)
-
-
-def _sat_acf(g, valuation: dict) -> bool:
-    from . import arith
-
-    if isinstance(g, arith.Atom):
-        return _sat_atom(g.atom, valuation)
-    if isinstance(g, arith.Not):
-        return not _sat_acf(g.sub, valuation)
-    if isinstance(g, arith.And):
-        return _sat_acf(g.left, valuation) and _sat_acf(g.right, valuation)
-    if isinstance(g, arith.Or):
-        return _sat_acf(g.left, valuation) or _sat_acf(g.right, valuation)
-    raise TypeError(f"not a constraint formula: {g!r}")
-
 
 def saturation_cap(m: Gcgmp, f: Formula) -> Fraction:
     """One above the largest constant in the formula's and guards' atoms."""
@@ -341,10 +300,14 @@ def saturation_cap(m: Gcgmp, f: Formula) -> Fraction:
 def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
     """Exact verdict for non-negative undiscounted models.
 
-    Utilities are evolved exactly until they pass the cap, then pinned to
-    the saturated marker; constraint atoms and guards are evaluated on the
-    capped vectors, and coalition fixpoints run over the finite graph of
-    reachable capped configurations.
+    Coalition fixpoints run over the finite graph of reachable configurations
+    whose utilities are clamped to the cap, ``min(u, cap)``.  The clamp is
+    exact: payoffs and start utilities are non-negative, and every atom in
+    the formula or a guard is a sum of variables with positive counts
+    against a constant d <= cap - 1, so any utility >= cap makes the sum
+    exceed d whatever it is.  Clamping therefore never changes the truth of
+    an atom or a guard, and the clamped graph is a bisimulation of the real
+    one.
     """
     tag = classify(f)
     if tag is FragmentTag.NGL_STAR:
@@ -368,41 +331,31 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
 
     cap = saturation_cap(m, f)
 
-    def clamp(u):
-        return SATURATED if u > cap else u
+    def clamp(c: Configuration) -> Configuration:
+        return Configuration(c.state, tuple(min(u, cap) for u in c.utilities))
 
-    def bump(u, pay):
-        if u is SATURATED:
-            return SATURATED
-        return clamp(u + pay)
-
-    # breadth-first closure of the capped configuration graph, keeping each
+    # breadth-first closure of the clamped configuration graph, keeping each
     # node's guard-enabled actions per agent
-    root = (c0.state, tuple(clamp(u) for u in c0.utilities))
-    pools: dict[tuple, list] = {}
-    succ: dict[tuple, tuple] = {}
-    seen = {root}
+    root = clamp(c0)
+    cache: dict = {}
+    pools = {root: enabled_pools(m, root, cache)}
+    succ: dict[tuple, Configuration] = {}
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        s, us = node
-        pools[node] = [
-            [act for act in m.available_of(a, s) if _sat_acf(m.guard_of(a, s, act), {a: u})]
-            for a, u in zip(m.agents, us)
-        ]
         for prof in itertools.product(*pools[node]):
-            pays = m.payoffs[(s, prof)]
-            nxt = (m.transitions[(s, prof)], tuple(bump(u, p) for u, p in zip(us, pays)))
-            succ[(node, prof)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = succ[(node, prof)] = clamp(successor(m, node, prof, 1))
+            if nxt not in pools:
+                pools[nxt] = enabled_pools(m, nxt, cache)
                 queue.append(nxt)
 
     def leaf(g) -> frozenset:
         if isinstance(g, Prop):
-            return frozenset(n for n in pools if g.name in m.label_of(n[0]))
+            return frozenset(n for n in pools if g.name in m.label_of(n.state))
         if isinstance(g, Constraint):
-            return frozenset(n for n in pools if _sat_atom(g.atom, dict(zip(m.agents, n[1]))))
+            return frozenset(
+                n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
+            )
         raise FragmentError(f"unsupported node in saturation checking: {g!r}")
 
     def pre(coalition, z: frozenset) -> frozenset:

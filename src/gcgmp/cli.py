@@ -313,11 +313,20 @@ def _load_strategy(m, path: str):
         raise CliInputError(f"cannot read strategy {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliInputError(f"bad strategy file {path!r}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CliInputError(f"bad strategy file {path!r}: not a JSON object")
     try:
         spec = StrategyClassSpec.parse(doc.get("class", "ml-config"))
     except ValueError as e:
         raise CliInputError(str(e)) from e
     moves = doc.get("moves", {})
+    if not isinstance(moves, dict) or not all(
+        isinstance(t, dict) and all(isinstance(act, str) for act in t.values())
+        for t in moves.values()
+    ):
+        raise CliInputError(
+            f"bad strategy file {path!r}: moves must map agents to tables of actions"
+        )
     foreign = set(moves) - set(m.agents)
     if foreign:
         raise CliInputError(f"strategy covers unknown agents: {', '.join(sorted(foreign))}")
@@ -326,6 +335,7 @@ def _load_strategy(m, path: str):
 
 def cmd_simulate(args):
     m = _load_model(args.model)
+    _require_wellformed(m, args.model)
     if args.value is not None:
         m = dataclasses.replace(
             m, value_semantics=ValueSemantics(args.value)
@@ -370,16 +380,8 @@ def cmd_simulate(args):
                             "message": f"strategy has no move for observation {key!r}",
                         }
                         break
-                else:
-                    options = sorted(enabled_actions(m, c, agent))
-                    if not options:
-                        aborted = {
-                            "step": l,
-                            "agent": agent,
-                            "message": "no enabled action",
-                        }
-                        break
-                    act = options[0]
+                else:  # a well-formed model leaves no agent without one
+                    act = min(enabled_actions(m, c, agent))
                 chosen.append(act)
             if aborted is not None:
                 break
@@ -465,6 +467,7 @@ def cmd_encode_tcm(args):
 
 def cmd_export_graph(args):
     m = _load_model(args.model)
+    _require_wellformed(m, args.model)
     init = _parse_init(m, args.init)
     result = explore(m, init, args.bound)
     dot = to_dot(result)

@@ -118,14 +118,14 @@ def successor(m: Gcgmp, c: Configuration, profile: Profile, step_index: int) -> 
     ``Fraction`` power, which dominates deep undiscounted searches.
     """
     us = []
-    for a, u, p in zip(m.agents, c.utilities, m.payoffs[(c.state, profile)]):
-        d = m.discounts[a]
-        if d == 1:
+    pays = m.payoffs[(c.state, profile)]
+    for a, kind, u, p in zip(m.agents, m.discount_kinds, c.utilities, pays):
+        if kind == "one":
             us.append(u + p)
-        elif d == 0 and step_index > 0:
+        elif kind == "zero" and step_index > 0:
             us.append(u)
         else:
-            us.append(u + d**step_index * p)
+            us.append(u + m.discounts[a] ** step_index * p)
     return Configuration(m.transitions[(c.state, profile)], tuple(us))
 
 
@@ -223,14 +223,10 @@ def is_exact_lasso(m: Gcgmp, play: Play) -> bool:
     agent either discount exactly 1 (laps repeat verbatim) or no utility
     movement anywhere in the cycle (later laps scale a zero by d**k).
     """
-    if play.configs[-1] != play.configs[play.loop]:
-        return False
-    for a in m.agents:
-        if m.discounts[a] == 1:
-            continue
-        if any(x != 0 for x in cycle_increments(m, play, a)):
-            return False
-    return True
+    return play.configs[-1] == play.configs[play.loop] and all(
+        kind == "one" or not any(cycle_increments(m, play, a))
+        for a, kind in zip(m.agents, m.discount_kinds)
+    )
 
 
 def project(p, kind: str, i: int, m: Gcgmp | None = None):

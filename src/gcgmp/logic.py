@@ -202,7 +202,7 @@ class StrategyClassSpec:
             "pr-state": PR_STATE,
             "pr-config": PR_CONFIG,
         }
-        if text not in table:
+        if not isinstance(text, str) or text not in table:
             raise ValueError(
                 f"unknown strategy class {text!r}; pick one of {sorted(table)}"
             )

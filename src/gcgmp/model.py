@@ -77,15 +77,19 @@ class Gcgmp:
     # -- discount classification, computed once and then a plain attribute --
 
     @cached_property
+    def discount_kinds(self) -> tuple[str, ...]:
+        """Per agent, in agent order: "one", "zero" or "step" (any other d)."""
+        return tuple({1: "one", 0: "zero"}.get(self.discounts[a], "step") for a in self.agents)
+
+    @cached_property
     def step_indexed(self) -> bool:
-        """Some 0 < d < 1: increments depend on the step index, so equal
-        configurations at different steps are different search nodes."""
-        return any(0 < d < 1 for d in self.discounts.values())
+        """Some 0 < d < 1: equal configurations at different steps differ."""
+        return "step" in self.discount_kinds
 
     @cached_property
     def lassos_close(self) -> bool:
         """Every d is 0 or 1: a repeated configuration closes a lasso."""
-        return all(d == 0 or d == 1 for d in self.discounts.values())
+        return not self.step_indexed
 
     # -- lookups with defaults -------------------------------------------
 

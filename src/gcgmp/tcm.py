@@ -125,13 +125,24 @@ def make_machine(states, initial, finals, transitions) -> TwoCounterMachine:
 
 
 def tcm_from_dict(doc: dict) -> TwoCounterMachine:
-    transitions = [
-        (t["from"], t["e1"], t["e2"], t["to"], t["c1"], t["c2"])
-        for t in doc.get("transitions", [])
-    ]
-    return make_machine(
-        doc["states"], doc["initial"], doc.get("finals", []), transitions
-    )
+    """Read a machine document; ValueError for shapes it cannot hold."""
+    if not isinstance(doc, dict):
+        raise ValueError("a machine document must be a JSON object")
+    states, finals, rows = doc["states"], doc.get("finals", []), doc.get("transitions", [])
+    for field, value in (("states", states), ("finals", finals), ("transitions", rows)):
+        if not isinstance(value, list):
+            raise ValueError(f"{field} must be a list")
+    if not all(isinstance(s, str) for s in states + finals):
+        raise ValueError("machine states must be strings")
+    transitions = []
+    for i, t in enumerate(rows):
+        if not isinstance(t, dict):
+            raise ValueError(f"transition {i} must be a JSON object")
+        row = (t["from"], t["e1"], t["e2"], t["to"], t["c1"], t["c2"])
+        if not all(type(n) is int for n in row[1:3] + row[4:]):
+            raise ValueError(f"transition {i}: tests and effects must be integers")
+        transitions.append(row)
+    return make_machine(states, doc["initial"], finals, transitions)
 
 
 def tcm_to_dict(tcm: TwoCounterMachine) -> dict:

@@ -342,6 +342,53 @@ class TestSaturated:
             v2 = check_saturated(m2, c0, fml(m2, f"<<a>> F (v_a >= {4 * k})"))
             assert v2.value == v1.value
 
+    @pytest.mark.parametrize(
+        "start, text, expected",
+        [
+            # the guard 3 >= v_a enables half up to and at 3, not above
+            ("0", "<<a>> X (v_a = 1/2)", True),
+            ("3", "<<a>> X (v_a = 7/2)", True),
+            ("7/2", "<<a>> X (v_a = 4)", False),
+            # v_a + v_a > 5 is v_a > 5/2: two big steps reach 3 and no more
+            ("0", "<<a>> X <<a>> X (v_a + v_a > 5)", True),
+            ("0", "<<a>> X <<a>> X (v_a + v_a > 6)", False),
+            # cap 7: four big steps hit 6; from 5 only big is enabled, giving
+            # 13/2 (exact, below the cap), then 8 (clamped to 7), never 6
+            ("0", "<<a>> F (v_a = 6)", True),
+            ("5", "<<a>> F (v_a = 6)", False),
+            ("5", "<<a>> X (v_a = 13/2)", True),
+            # cap 8: 7 + 3/2 crosses the cap and is clamped to 8 > 7; with
+            # cap 17/2 the same step lands on the cap exactly
+            ("7", "<<a>> X (v_a > 7)", True),
+            ("7", "<<a>> X (v_a < 15/2)", False),
+            # starts exactly at the cap (6, then 8)
+            ("6", "<<a>> G (v_a + v_a > 5)", True),
+            ("6", "<<a>> F (v_a <= 5)", False),
+            ("8", "<<a>> X (v_a > 7)", True),
+        ],
+    )
+    def test_clamped_verdicts_by_hand(self, start, text, expected):
+        d = {
+            "agents": ["a"],
+            "states": ["s"],
+            "actions": {"a": ["half", "big"]},
+            "transitions": [
+                {"from": "s", "profile": {"a": "half"}, "to": "s"},
+                {"from": "s", "profile": {"a": "big"}, "to": "s"},
+            ],
+            "payoffs": [
+                {"state": "s", "profile": {"a": "half"}, "values": {"a": "1/2"}},
+                {"state": "s", "profile": {"a": "big"}, "values": {"a": "3/2"}},
+            ],
+            "labels": {},
+            "guards": [
+                {"agent": "a", "state": "s", "action": "half", "formula": "3 >= v_a"}
+            ],
+        }
+        m = mk(d)
+        c0 = Configuration("s", (F(start),))
+        assert check_saturated(m, c0, fml(m, text)).value is expected
+
 
 # --- bounded engine ---------------------------------------------------------
 

@@ -51,6 +51,15 @@ def incskip_doc():
     }
 
 
+def machine_doc():
+    row = {"from": "A", "e1": 0, "e2": 0, "to": "F", "c1": 1, "c2": 0}
+    return {"states": ["A", "F"], "initial": "A", "finals": ["F"], "transitions": [row]}
+
+
+def strategy_doc():
+    return {"class": "ml-state", "moves": {"a": {"s": "inc"}}}
+
+
 class TestValidate:
     def test_bundled_model_is_clean(self, capsys):
         code, report, _ = run(capsys, "validate", "builtin:fig1")
@@ -395,6 +404,20 @@ class TestSimulate:
         assert code == 2
         assert "unknown agents" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"moves": [1]}, {"moves": {"a": ["inc"]}}, {"moves": {"a": {"s": 1}}},
+         {"class": ["ml-state"]}],
+        ids=["list-document", "list-moves", "list-table", "int-action", "list-class"],
+    )
+    def test_malformed_strategy_files_exit_2(self, capsys, tmp_path, doc):
+        path = write_model(tmp_path, incskip_doc())
+        strat = tmp_path / "strat.json"
+        strat.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run(capsys, "simulate", path, "--strategy-file", str(strat))
+        assert (code, report) == (2, None)
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_bad_script_tokens_exit_2(self, capsys, fig1_path):
         for script in ["C", "C,C,C", "C,Z"]:
             code, _, _ = run(capsys, "simulate", fig1_path, "--profile-script", script)
@@ -477,6 +500,37 @@ class TestEncodeTcm:
         code, _, err = run(capsys, "encode-tcm", str(path))
         assert code == 2
         assert "reserved" in err
+
+    @pytest.mark.parametrize(
+        "patch, complaint",
+        [
+            (None, "JSON object"),
+            ({"states": [0, 1], "initial": 0, "finals": [1]}, "strings"),
+            ({"states": [["a"]]}, "strings"),
+            ({"finals": [["F"]]}, "strings"),
+            ({"finals": 5}, "finals must be a list"),
+            ({"transitions": "x"}, "transitions must be a list"),
+            ({"transitions": [[1, 2]]}, "transition 0 must be"),
+            ({"c1": 0.5}, "integers"),
+            ({"e1": True}, "integers"),
+            ({"c2": "1"}, "integers"),
+        ],
+        ids=["list-document", "int-states", "list-state", "list-final", "int-finals",
+             "string-transitions", "list-row", "float-effect", "bool-test", "string-effect"],
+    )
+    def test_malformed_machines_exit_2(self, capsys, tmp_path, patch, complaint):
+        doc = machine_doc()
+        row = doc["transitions"][0]
+        if patch is None:
+            doc = [doc]
+        else:
+            for key, value in patch.items():
+                (row if key in row else doc)[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run(capsys, "encode-tcm", str(path))
+        assert (code, report) == (2, None)
+        assert complaint in err and "Traceback" not in err and err.count("\n") == 1
 
 
 class TestExportGraph:
@@ -590,14 +644,15 @@ _INITS = [
 
 
 @st.composite
-def mutated_models(draw):
-    """incskip_doc() with up to three entries, at any depth, replaced or deleted."""
-    doc = incskip_doc()
+def mutated(draw, fresh, fields):
+    """fresh() with up to three entries, at any depth, replaced or deleted;
+    ``fields`` are top-level keys that may be added."""
+    doc = fresh()
     for _ in range(draw(st.integers(0, 3))):
         node = doc
         while True:
             if isinstance(node, dict):
-                keys = list(node) + (_FIELDS if node is doc else ["s", "t", "a", "inc"])
+                keys = list(node) + (fields if node is doc else ["s", "t", "a", "inc"])
             else:
                 keys = list(range(len(node)))
             key = draw(st.sampled_from(keys))
@@ -613,6 +668,19 @@ def mutated_models(draw):
     return doc
 
 
+def keeps_the_contract(capsys, *argvs):
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refusing the command line
+            code = e.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        if out.strip():
+            json.loads(out)  # exactly one JSON document
+        assert "Traceback" not in err
+
+
 class TestExitCodeContract:
     @settings(
         max_examples=300,
@@ -620,7 +688,7 @@ class TestExitCodeContract:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        doc=mutated_models(),
+        doc=mutated(incskip_doc, _FIELDS),
         formula=st.sampled_from(_FORMULAS)
         | st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=10).map(" ".join)
         | st.text(max_size=10),
@@ -630,13 +698,34 @@ class TestExitCodeContract:
     def test_any_input_keeps_the_contract(self, capsys, tmp_path, doc, formula, init, engine):
         path = write_model(tmp_path, doc)
         check = ["check", path, f"--init={init}", "--depth", "4", "--engine", engine, "--", formula]
-        for argv in (["validate", path], check):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse refusing the command line
-                code = e.code
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2, 3)
-            if out.strip():
-                json.loads(out)  # exactly one JSON document
-            assert "Traceback" not in err
+        keeps_the_contract(capsys, ["validate", path], check)
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        doc=mutated(incskip_doc, _FIELDS),
+        machine=mutated(machine_doc, ["states", "initial", "finals", "transitions"]) | _JSON,
+        strategy=mutated(strategy_doc, ["class", "moves"]) | _JSON,
+        script=st.lists(st.sampled_from(["inc", "skip", "inc,skip", "x", ","]), max_size=4)
+        .map(" ".join) | st.text(max_size=6),
+        init=st.sampled_from(_INITS) | st.text(max_size=6),
+        count=st.integers(0, 4),
+        variant=st.sampled_from(["guard-based", "state-based"]),
+    )
+    def test_other_subcommands_keep_the_contract(
+        self, capsys, tmp_path, doc, machine, strategy, script, init, count, variant
+    ):
+        path = write_model(tmp_path, doc)
+        machine_path = write_model(tmp_path, machine, "machine.json")
+        strategy_path = write_model(tmp_path, strategy, "strategy.json")
+        keeps_the_contract(
+            capsys,
+            ["encode-tcm", machine_path, "--variant", variant],
+            ["simulate", path, f"--init={init}", "--steps", str(count),
+             "--strategy-file", strategy_path],
+            ["simulate", path, f"--init={init}", f"--profile-script={script}"],
+            ["export-graph", path, f"--init={init}", "--bound", str(count)],
+        )
