@@ -41,7 +41,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Union, get_args
+from typing import Optional, Union
 
 from .arith import _REL_FN, PathConstraint, eval_atom, normalize_atom
 from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
@@ -53,6 +53,7 @@ from .errors import (
     VariableVsVariableAtom,
 )
 from .logic import (
+    CHILDREN,
     Always,
     And,
     Apc,
@@ -72,11 +73,12 @@ from .logic import (
     classify,
     constraint_atoms,
     is_state_formula,
+    is_xgu_body,
+    subformulas,
 )
 from .model import Gcgmp
 
 Vb = Union[bool, None]  # three-valued: None means "unknown"
-_NODES = get_args(Formula)
 
 
 def k_not(x: Vb) -> Vb:
@@ -160,19 +162,8 @@ class Budget:
     """
 
     depth: int
-    max_strategies: Optional[int] = None
-    max_nodes: Optional[int] = None
-
-    DEFAULT_STRATEGIES = 4000
-    DEFAULT_NODES = 2_000_000
-
-    @property
-    def strategies(self) -> int:
-        return self.max_strategies if self.max_strategies is not None else self.DEFAULT_STRATEGIES
-
-    @property
-    def nodes(self) -> int:
-        return self.max_nodes if self.max_nodes is not None else self.DEFAULT_NODES
+    max_strategies: int = 4000
+    max_nodes: int = 2_000_000
 
 
 # --- qualitative fixpoints ---------------------------------------------------
@@ -416,7 +407,7 @@ class _Ctx:
 
     def tick(self):
         self.nodes_used += 1
-        if self.nodes_used > self.budget.nodes:
+        if self.nodes_used > self.budget.max_nodes:
             raise _BudgetStop()
 
     def intern(self, c: Configuration) -> Configuration:
@@ -424,7 +415,7 @@ class _Ctx:
 
     def formula(self, g: Formula) -> Formula:
         """The canonical copy of ``g``: equal subformulas become one object."""
-        kids = {k: self.formula(v) for k, v in vars(g).items() if isinstance(v, _NODES)}
+        kids = {k: self.formula(getattr(g, k)) for k in CHILDREN.get(type(g), ())}
         if kids:
             g = replace(g, **kids)
         return self.formulas.setdefault(g, g)
@@ -448,43 +439,26 @@ class _Ctx:
 
 def _body_machine(body) -> tuple:
     """Initial evaluation state for a supported coalition body."""
-    if isinstance(body, Next) and is_state_formula(body.sub):
-        return ("X", body.sub)
-    if isinstance(body, Always) and is_state_formula(body.sub):
-        return ("G", body.sub, True)
-    if (
-        isinstance(body, Until)
-        and is_state_formula(body.left)
-        and is_state_formula(body.right)
-    ):
-        return ("U", body.left, body.right, False, True)
     if isinstance(body, Apc):
         return ("APC", body.pc)
-    raise FragmentError(
-        "the bounded engine handles coalition bodies of the form X/G/U over "
-        "state formulas, or a single play-value comparison"
-    )
+    if not is_xgu_body(body):
+        raise FragmentError(
+            "the bounded engine handles coalition bodies of the form X/G/U over "
+            "state formulas, or a single play-value comparison"
+        )
+    if isinstance(body, Next):
+        return ("X", body.sub)
+    if isinstance(body, Always):
+        return ("G", body.sub, True)
+    return ("U", body.left, body.right, False, True)
 
 
 def _check_supported(f: Formula):
     if not is_state_formula(f):
         raise FragmentError("only state formulas can be checked")
-    if isinstance(f, (Prop, Tru, Constraint)):
-        return
-    if isinstance(f, Not):
-        _check_supported(f.sub)
-        return
-    if isinstance(f, And):
-        _check_supported(f.left)
-        _check_supported(f.right)
-        return
-    if isinstance(f, Coop):
-        machine = _body_machine(f.body)
-        for part in machine[1:]:
-            if isinstance(part, (Prop, Tru, Constraint, Not, And, Coop)):
-                _check_supported(part)
-        return
-    raise FragmentError(f"unsupported formula node: {f!r}")
+    for g in subformulas(f):
+        if isinstance(g, Coop):
+            _body_machine(g.body)
 
 
 def _obs(observation: StrategyObservation, c: Configuration):
@@ -627,7 +601,7 @@ class _CoopSolver:
         any_unknown = False
         while True:
             sweeps += 1
-            if sweeps > self.ctx.budget.strategies:
+            if sweeps > self.ctx.budget.max_strategies:
                 self.capped = True
                 return None, None, None
             self.sweep_consulted = set()
@@ -932,7 +906,7 @@ def replay_strategy_table(
     def eval_sub(g, c, l):
         return _eval_state(ctx, g, c, l, depth)
 
-    def walk(c, l, path_configs, path_profiles, machine, tau_store) -> Vb:
+    def follow(c, l, path_configs, path_profiles, machine, tau_store) -> Vb:
         pos = len(path_profiles)
         kind = machine[0]
         if kind == "X":
@@ -1011,7 +985,7 @@ def replay_strategy_table(
             if others and committed is None and so.memory is StrategyMemory.MEMORYLESS:
                 tau_store[tau_key] = resp
                 pushed = True
-            v = walk(c2, l + 1, path_configs + [c2], path_profiles + [prof], machine, tau_store)
+            v = follow(c2, l + 1, path_configs + [c2], path_profiles + [prof], machine, tau_store)
             if pushed:
                 del tau_store[tau_key]
             result = k_and(result, v)
@@ -1019,7 +993,7 @@ def replay_strategy_table(
                 return False
         return result
 
-    return walk(c0, 1, [c0], [], machine0, {}) is True
+    return follow(c0, 1, [c0], [], machine0, {}) is True
 
 
 # --- brute-force reference ---------------------------------------------------

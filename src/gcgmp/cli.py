@@ -6,7 +6,8 @@ keeps diagnostics on stderr; reports are byte-identical across runs
 except for the ``wall_ms`` field.  Exit codes: 0 for a completed run
 (including "unknown" verdicts), 1 when validation found violations, 2 for
 unusable input (bad files, unparsable formulas, malformed options), 3
-when an explicitly requested engine cannot handle the instance.
+when an explicitly requested engine cannot handle the instance, or, under
+``auto``, when no engine can.
 
 Model files may be replaced by ``builtin:fig1`` and machine files by
 ``builtin:drain`` to use the bundled examples.  ``GCGMP_THREADS`` caps
@@ -171,11 +172,9 @@ def _config_json(c) -> dict:
 def _require_wellformed(m, path):
     problems = validate(m)
     if problems:
-        for v in problems:
-            print(f"gcgmp: {v}", file=sys.stderr)
         raise CliInputError(
-            f"model {path!r} is not well-formed "
-            f"({len(problems)} violation(s); run `gcgmp validate` for the list)"
+            f"model {path!r} is not well-formed: {len(problems)} violation(s), "
+            f"first {problems[0]}; run `gcgmp validate` for the list"
         )
 
 
@@ -236,15 +235,18 @@ def _run_saturated(m, init, f):
 
 
 def _run_bounded(m, init, f, sp, so, depth):
-    got = check_bounded(m, init, f, sp=sp, so=so, budget=Budget(depth=depth))
     budget = Budget(depth=depth)
+    try:
+        got = check_bounded(m, init, f, sp=sp, so=so, budget=budget)
+    except FragmentError as e:
+        raise EnginePreconditionError(f"the bounded engine does not apply: {e}") from e
     return {
         "engine": "bounded",
         "strategy_class": {"proponents": sp.short, "opponents": so.short},
         "bounds": {
             "depth": depth,
-            "strategies": budget.strategies,
-            "nodes": budget.nodes,
+            "strategies": budget.max_strategies,
+            "nodes": budget.max_nodes,
         },
         **got.as_json(),
     }

@@ -12,6 +12,9 @@ One node set covers both levels; a formula is state-level when no temporal
 operator or play-value atom occurs outside a coalition modality.  ``|`` is
 accepted and immediately rewritten to ``!(!a & !b)``, and ``F p`` to
 ``true U p``, so engines only ever see the core connectives.
+``CHILDREN`` names each connective's formula-valued fields, and every
+structural query (fragment, atoms, propositions, agents) walks them through
+``subformulas``.
 
 Concrete syntax, loosest to tightest: ``|``, ``&``, ``U`` (right
 associative), then the unary ``! X G F``.  A coalition modality binds the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterator, Union
 
 from . import arith
 from .arith import AtomicConstraint, PathConstraint, TokenStream
@@ -95,6 +98,27 @@ class Coop:
 Formula = Union[Prop, Constraint, Tru, Not, And, Next, Always, Until, Apc, Coop]
 
 
+# In reading order; the leaves Prop, Constraint, Tru and Apc have none.
+CHILDREN: dict[type, tuple[str, ...]] = {
+    Not: ("sub",),
+    Next: ("sub",),
+    Always: ("sub",),
+    And: ("left", "right"),
+    Until: ("left", "right"),
+    Coop: ("body",),
+}
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of ``f``, parent first and left to right, into coalition bodies."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for k in reversed(CHILDREN.get(type(g), ())):
+            stack.append(getattr(g, k))
+
+
 def is_state_formula(f: Formula) -> bool:
     """No temporal operator or play-value atom outside a coalition modality."""
     if isinstance(f, (Prop, Constraint, Tru, Coop)):
@@ -122,39 +146,24 @@ class FragmentTag(Enum):
     NGL_STAR = "NGLstar"
 
 
-_ORDER = {FragmentTag.ATL_PURE: 0, FragmentTag.NGL: 1, FragmentTag.NGL_STAR: 2}
-
-
-def _join(a: FragmentTag, b: FragmentTag) -> FragmentTag:
-    return a if _ORDER[a] >= _ORDER[b] else b
-
-
 def classify(f: Formula) -> FragmentTag:
     """The smallest fragment containing ``f`` (a state formula)."""
     if not is_state_formula(f):
         raise FragmentError("only state formulas can be classified and checked")
-    return _classify_state(f)
+    tag = FragmentTag.ATL_PURE
+    for g in subformulas(f):
+        if isinstance(g, Coop) and not is_xgu_body(g.body):
+            return FragmentTag.NGL_STAR
+        if isinstance(g, Constraint):
+            tag = FragmentTag.NGL
+    return tag
 
 
-def _classify_state(f: Formula) -> FragmentTag:
-    if isinstance(f, (Prop, Tru)):
-        return FragmentTag.ATL_PURE
-    if isinstance(f, Constraint):
-        return FragmentTag.NGL
-    if isinstance(f, Not):
-        return _classify_state(f.sub)
-    if isinstance(f, And):
-        return _join(_classify_state(f.left), _classify_state(f.right))
-    if isinstance(f, Coop):
-        body = f.body
-        if isinstance(body, Next) or isinstance(body, Always):
-            if is_state_formula(body.sub):
-                return _join(FragmentTag.ATL_PURE, _classify_state(body.sub))
-        if isinstance(body, Until):
-            if is_state_formula(body.left) and is_state_formula(body.right):
-                return _join(_classify_state(body.left), _classify_state(body.right))
-        return FragmentTag.NGL_STAR
-    return FragmentTag.NGL_STAR  # path operators at state level never get here
+def is_xgu_body(body: Formula) -> bool:
+    """X, G or U directly over state formulas: an ATL coalition body."""
+    return isinstance(body, (Next, Always, Until)) and all(
+        is_state_formula(getattr(body, k)) for k in CHILDREN[type(body)]
+    )
 
 
 # --- strategy classes ------------------------------------------------------
@@ -230,20 +239,7 @@ def constraint_atoms(f: Formula, m: Gcgmp | None = None) -> list[AtomicConstrain
     With a model, the comparisons inside its guards are appended too (the
     saturation bound has to cover both sources of constants).
     """
-    out: list[AtomicConstraint] = []
-
-    def walk(g: Formula):
-        if isinstance(g, Constraint):
-            out.append(g.atom)
-        elif isinstance(g, (Not, Next, Always)):
-            walk(g.sub)
-        elif isinstance(g, (And, Until)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Coop):
-            walk(g.body)
-
-    walk(f)
+    out = [g.atom for g in subformulas(f) if isinstance(g, Constraint)]
     if m is not None:
         for guard in m.guards.values():
             out.extend(arith.acf_atoms(guard))
@@ -251,48 +247,24 @@ def constraint_atoms(f: Formula, m: Gcgmp | None = None) -> list[AtomicConstrain
 
 
 def path_constraints(f: Formula) -> list[PathConstraint]:
-    out: list[PathConstraint] = []
-
-    def walk(g: Formula):
-        if isinstance(g, Apc):
-            out.append(g.pc)
-        elif isinstance(g, (Not, Next, Always)):
-            walk(g.sub)
-        elif isinstance(g, (And, Until)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Coop):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return [g.pc for g in subformulas(f) if isinstance(g, Apc)]
 
 
 def formula_props(f: Formula) -> set[str]:
-    if isinstance(f, Prop):
-        return {f.name}
-    if isinstance(f, (Not, Next, Always)):
-        return formula_props(f.sub)
-    if isinstance(f, (And, Until)):
-        return formula_props(f.left) | formula_props(f.right)
-    if isinstance(f, Coop):
-        return formula_props(f.body)
-    return set()
+    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
 
 
 def formula_agents(f: Formula) -> set[str]:
     """Agents the formula talks about: coalitions, utilities, play values."""
-    if isinstance(f, Constraint):
-        return f.atom.variables()
-    if isinstance(f, Apc):
-        return {f.pc.agent}
-    if isinstance(f, (Not, Next, Always)):
-        return formula_agents(f.sub)
-    if isinstance(f, (And, Until)):
-        return formula_agents(f.left) | formula_agents(f.right)
-    if isinstance(f, Coop):
-        return set(f.coalition) | formula_agents(f.body)
-    return set()
+    out: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, Constraint):
+            out |= g.atom.variables()
+        elif isinstance(g, Apc):
+            out.add(g.pc.agent)
+        elif isinstance(g, Coop):
+            out |= g.coalition
+    return out
 
 
 def bind_formula(m: Gcgmp, f: Formula) -> Formula:

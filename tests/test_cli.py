@@ -254,6 +254,17 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "builtin:fig1", "<<I,II>> X p2", "--init", init)
         assert code == 2
 
+    @pytest.mark.parametrize("engine", ["auto", "bounded"])
+    @pytest.mark.parametrize(
+        "formula", ["<<I>>(X p1 & G p2)", "<<I>>G X p1", "<<I>>p1", "!<<I>>(G F p1)"]
+    )
+    def test_formulas_outside_every_engine_exit_3(self, capsys, formula, engine):
+        code, report, err = run(capsys, "check", "builtin:fig1", formula, "--engine", engine)
+        assert code == 3
+        assert report is None
+        assert len(err.splitlines()) == 1
+        assert "bounded engine does not apply" in err
+
     def test_illformed_model_is_refused_before_checking(self, capsys, tmp_path):
         doc = incskip_doc()
         del doc["payoffs"]["s"]["inc"]
@@ -637,6 +648,7 @@ _TOKENS = [
 _FORMULAS = [  # well-formed for incskip_doc(), so that the engines run too
     "<<a>> X true", "<<a>> G (v_a <= 2)", "<<a>> (true U v_a >= 3)", "<<>> G (v_a < 1/2)",
     "!(<<a>> X (v_a > 0))", "<<a>> (w_a > 0)", "(<<a>> F v_a = 2) & <<a>> G v_a >= 0",
+    "<<a>> X G true", "<<a>> (X true & G true)", "<<a>> true",
 ]
 _INITS = [
     "s", "t", "s:", "s:1", "s:1/2", "s: -1", "s:1,2", "s:x", ":1", "s:1/0", "s:1e3", "s:nan",
@@ -672,13 +684,17 @@ def keeps_the_contract(capsys, *argvs):
     for argv in argvs:
         try:
             code = main(argv)
+            returned = True
         except SystemExit as e:  # argparse refusing the command line
             code = e.code
+            returned = False
         out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3)
         if out.strip():
             json.loads(out)  # exactly one JSON document
         assert "Traceback" not in err
+        if returned and code in (2, 3):
+            assert len(err.splitlines()) <= 1, err
 
 
 class TestExitCodeContract:

@@ -24,6 +24,7 @@ from gcgmp.logic import (
     constraint_atoms,
     format_formula,
     formula_agents,
+    formula_props,
     is_state_formula,
     parse_formula,
     path_constraints,
@@ -149,6 +150,10 @@ class TestClassify:
             ("<<I>>(G p1 & F p2)", FragmentTag.NGL_STAR),
             ("<<I>>p1", FragmentTag.NGL_STAR),
             ("<<I>>(X p1 U p2)", FragmentTag.NGL_STAR),
+            ("<<I>>X (<<II>>w_I >= 5)", FragmentTag.NGL_STAR),
+            ("!(<<I>>G (<<II>>X v_I > 0))", FragmentTag.NGL),
+            ("(v_I > 0) & <<I>>(X p1 & G p2)", FragmentTag.NGL_STAR),
+            ("<<I>>G ((<<II>>(p1 U p2)) & v_II > 1)", FragmentTag.NGL),
         ],
     )
     def test_examples(self, text, expected):
@@ -181,10 +186,16 @@ class TestQueries:
     def test_constraint_atoms_in_order(self):
         f = parse_formula("v_I > 0 & <<I>>(v_I < 5 U v_II = 2)")
         assert [a.rel for a in constraint_atoms(f)] == [">", "<", "="]
+        f = parse_formula("!(v_I > 0) & <<I>>X ((<<II>>G v_II < 5) & v_I = 2)")
+        assert [a.rel for a in constraint_atoms(f)] == [">", "<", "="]
 
     def test_path_constraints(self):
         f = parse_formula("<<I>>(w_I >= 5) & <<II>>(w_II < 0)")
         assert [pc.agent for pc in path_constraints(f)] == ["I", "II"]
+
+    def test_props_inside_nested_modalities(self):
+        f = parse_formula("(<<I>>X (<<II>>G !p2)) & p3")
+        assert formula_props(f) == {"p2", "p3"}
 
     def test_agents(self):
         f = parse_formula("<<I>>(p U v_II > 0) & <<>>w_III = 1")
