@@ -1015,6 +1015,11 @@ def enumerate_oracle(
     plays out every opponent behaviour of the stated class, and evaluates
     the body positionally on each outcome play.  No pruning, no deepening,
     no backjumping — just the definitions.
+
+    Three per-call caches serve every nested modality: enabled sets on
+    (agent, state, own utility), guarded ``step`` results on (configuration,
+    profile, step index) and interned configurations, so lassos close on
+    identity.  They only memoise: semantics and play accounting are unchanged.
     """
     if len(m.states) > 4:
         raise TooLarge(f"{len(m.states)} states is beyond the oracle's scale")
@@ -1026,11 +1031,27 @@ def enumerate_oracle(
     _check_supported(f)
     memo: dict = {}
     counter = {"plays": 0}
+    enabled_sets: dict = {}
+    steps: dict = {}
+    interned: dict = {c0: c0}
 
     def spend():
         counter["plays"] += 1
         if counter["plays"] > 60_000:
             raise TooLarge("oracle enumeration exceeded its play budget")
+
+    def enabled(c, a):
+        key = (a, c.state, c.utilities[m.agent_index(a)])
+        if key not in enabled_sets:
+            enabled_sets[key] = m.enabled_actions(*key)
+        return enabled_sets[key]
+
+    def cached_step(c, prof, l):
+        key = (c, prof, l)
+        if key not in steps:
+            c2 = step(m, c, prof, l)
+            steps[key] = interned.setdefault(c2, c2)
+        return steps[key]
 
     def eval_sf(g, c, l) -> Vb:
         key = (g, c, l if m.step_indexed else None)
@@ -1054,14 +1075,16 @@ def enumerate_oracle(
             memo[key] = v
         return v
 
-    def eval_play(body, configs, profiles, loop, l0, sp_pr) -> Vb:
+    def eval_play(body, configs, profiles, loop, l0, sp_pr, cut) -> Vb:
         """Clause-by-clause evaluation of a body on one outcome play.
 
-        ``loop`` is None for an open (horizon-cut) prefix.  Positions are
-        evaluated literally; an open prefix leaves undetermined futures
-        Unknown.  A False that exists only because the closing cycle is
-        pumped forever does not refute a perfect-recall proponent, who may
-        deviate in later laps, so it degrades to Unknown.
+        ``loop`` is None for a prefix that ends without closing, and ``cut``
+        is then the value of its undetermined future: Unknown at the horizon,
+        False where a proponent's move is disabled, True where the opponents
+        have none.  Positions are evaluated literally.  A False that exists
+        only because the closing cycle is pumped forever does not refute a
+        perfect-recall proponent, who may deviate in later laps, so it
+        degrades to Unknown.
         """
         n = len(profiles)
         # a closed play repeats configs[loop] at position n; an open prefix
@@ -1074,7 +1097,7 @@ def enumerate_oracle(
         if body[0] == "X":
             if n >= 1:
                 return eval_sf(body[1], *at(1))
-            return None
+            return cut
         if body[0] == "G":
             acc: Vb = True
             for i in range(last):
@@ -1083,7 +1106,7 @@ def enumerate_oracle(
                 if acc is False:
                     return False
             if loop is None:
-                return None  # held so far, but the play is cut short
+                return k_and(acc, cut)  # held so far, but the play ends
             return acc
         if body[0] == "U":
             phi1, phi2 = body[1], body[2]
@@ -1098,14 +1121,14 @@ def enumerate_oracle(
                 if pcond is False:
                     return best if best is False else None
             if loop is None:
-                return None
+                return k_or(best, k_and(pcond, cut))
             # closed play: every later position repeats a cycle position
             if best is False:
                 return None if sp_pr else False
             return None
         if body[0] == "APC":
             if loop is None:
-                return None
+                return cut
             play = Play(tuple(configs), tuple(profiles), loop, start_index=l0)
             try:
                 ok = check_apc_play(m, play, body[1])
@@ -1126,13 +1149,10 @@ def enumerate_oracle(
         others = [a for a in m.agents if a not in coop.coalition]
         sp_pr = bool(members) and sp.memory is StrategyMemory.PERFECT_RECALL
 
-        def enabled(c, a):
-            return m.enabled_actions(a, c.state, c.utilities[m.agent_index(a)])
-
         def all_plays(sigma: dict, tau: dict):
             """Every outcome play under proponent table ``sigma``, across
             all opponent behaviours extending ``tau``: yields
-            (configs, profiles, loop, sigma_fail) tuples."""
+            (configs, profiles, loop, cut) tuples."""
             out = []
 
             def go(configs, profiles, tau_local):
@@ -1141,11 +1161,11 @@ def enumerate_oracle(
                 pos = len(profiles)
                 if m.lassos_close and pos >= 1:
                     for j in range(pos):
-                        if configs[j] == c:
-                            out.append((configs, profiles, j, False))
+                        if configs[j] is c:
+                            out.append((configs, profiles, j, None))
                             return
                 if pos >= depth:
-                    out.append((configs, profiles, None, False))
+                    out.append((configs, profiles, None, None))
                     return
                 skey = _strategy_key(sp, configs) if members else None
                 move = sigma.get(skey) if members else ()
@@ -1155,25 +1175,24 @@ def enumerate_oracle(
                     if any(
                         act not in enabled(c, a) for a, act in zip(members, move)
                     ):
-                        out.append((configs, profiles, None, True))
+                        out.append((configs, profiles, None, False))
                         return
                 tkey = _strategy_key(so, configs) if others else None
                 committed = tau_local.get(tkey) if others else None
-                if committed is not None:
-                    if any(
-                        act not in enabled(c, a) for a, act in zip(others, committed)
-                    ):
-                        return  # opponent hit a dead commitment: vacuous
-                    responses = [committed]
-                else:
+                if committed is None:
                     responses = list(
                         itertools.product(*[enabled(c, a) for a in others])
                     )
-                    if others and not responses:
-                        return
+                elif all(act in enabled(c, a) for a, act in zip(others, committed)):
+                    responses = [committed]
+                else:
+                    responses = []  # a dead commitment
+                if others and not responses:
+                    out.append((configs, profiles, None, True))  # nothing to refute
+                    return
                 for resp in responses:
                     prof = _weave(m.agents, members, move, others, resp)
-                    c2 = step(m, c, prof, l0 + pos)
+                    c2 = cached_step(c, prof, l0 + pos)
                     pushed = False
                     if (
                         others
@@ -1211,29 +1230,20 @@ def enumerate_oracle(
             # evaluate the current (partial) table, growing it on demand
             try:
                 verdict: Vb = True
-                for configs, profiles, loop, sigma_fail in all_plays(sigma, {}):
-                    if sigma_fail:
-                        verdict = False
-                        break
+                for configs, profiles, loop, cut in all_plays(sigma, {}):
                     verdict = k_and(
-                        verdict, eval_play(body, configs, profiles, loop, l0, sp_pr)
+                        verdict, eval_play(body, configs, profiles, loop, l0, sp_pr, cut)
                     )
                     if verdict is False:
                         break
             except KeyError as e:  # a new consultation point appeared
                 key = e.args[0]
-                state = key if isinstance(key, str) else None
-                if state is None:
-                    cfg = key if isinstance(key, Configuration) else key[-1]
-                    state = cfg.state if isinstance(cfg, Configuration) else cfg
-                    if isinstance(cfg, Configuration):
-                        pools = [
-                            enabled(cfg, a) for a in members
-                        ]
-                    else:
-                        pools = [m.available_of(a, state) for a in members]
+                # the last observation: a bare state or a configuration
+                last = key if isinstance(key, (str, Configuration)) else key[-1]
+                if isinstance(last, Configuration):
+                    pools = [enabled(last, a) for a in members]
                 else:
-                    pools = [m.available_of(a, state) for a in members]
+                    pools = [m.available_of(a, last) for a in members]
                 options = list(itertools.product(*pools))
                 if not options:
                     options = [tuple("?" for _ in members)]  # always invalid

@@ -556,6 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     threads = _thread_cap()
@@ -565,12 +568,10 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise CliInputError(f"--{flag} must be non-negative")
         report, code = args.handler(args)
-    except CliInputError as e:
-        print(f"gcgmp: {e}", file=sys.stderr)
-        return 2
-    except EnginePreconditionError as e:
-        print(f"gcgmp: {e}", file=sys.stderr)
-        return 3
+    except (CliInputError, EnginePreconditionError) as e:
+        # one line, even when a name from the input holds a line break
+        print(f"gcgmp: {str(e).translate(_LINE_BREAKS)}", file=sys.stderr)
+        return 2 if isinstance(e, CliInputError) else 3
     report["threads"] = threads
     report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     print(json.dumps(report, indent=2, sort_keys=True))

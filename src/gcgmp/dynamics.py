@@ -360,6 +360,8 @@ def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> 
     unexpanded = set()
     enabled: dict = {}
     for dist in range(depth + 1):
+        if not frontier:
+            break  # the graph closed before the horizon
         nxt = []
         for c, l in frontier:
             profs = list(itertools.product(*enabled_pools(m, c, enabled)))

@@ -856,7 +856,7 @@ class TestEngineAgreement:
         "sp,so", [(ML_STATE, ML_STATE), (PR_CONFIG, ML_CONFIG), (ML_CONFIG, PR_CONFIG)]
     )
     def test_agreement_across_strategy_classes(self, sp, so):
-        rng = random.Random(hash((sp.short, so.short)) & 0xFFFF)
+        rng = random.Random(f"{sp.short}/{so.short}")
         checked = 0
         while checked < 8:
             m = random_model(rng, False)
@@ -965,3 +965,106 @@ class TestEngineAgreement:
             assert check_saturated(m, c0, f).value is want, text
             assert check_bounded(m, c0, f, budget=4).value is want, text
             assert enumerate_oracle(m, c0, f, depth=4).value is want, text
+
+
+# Oracle outcomes pinned over a seeded population: sha256 of the ordered
+# outcomes, each True, False, None or the refusal with its message.  The
+# oracle's caches may only memoise, so neither its verdicts nor its play
+# accounting (which decides every TooLarge) may drift.  Every third random
+# model, and one pinned loop, discount agent a by 1/2, so successors depend on
+# the step index.  The last instance is the benchmark's wide one: both agents
+# choose between two actions at one state and every profile pays both, so no
+# configuration repeats and the oracle spends its whole play budget.
+ORACLE_PAIRS = [
+    (ML_STATE, ML_STATE), (ML_CONFIG, PR_CONFIG), (PR_STATE, ML_CONFIG), (PR_CONFIG, PR_STATE)
+]
+ORACLE_DIGEST = "47abef904f3ab56ac5b3e8178efe445040b6ddd6ddce8fb104581c32233cc460"
+WIDE_PAYOFFS = {("x", "x"): ("1", "2"), ("x", "y"): ("3", "1"),
+                ("y", "x"): ("2", "3"), ("y", "y"): ("1", "1")}
+
+
+def _oracle_outcome(m, f, sp, so) -> str:
+    c0 = Configuration(m.states[0], tuple(F(0) for _ in m.agents))
+    try:
+        return str(enumerate_oracle(m, c0, f, sp, so, depth=4).value)
+    except GcgmpError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _oracle_population_outcomes() -> list:
+    rng = random.Random(20261018)
+    outcomes = []
+    for i in range(96):
+        m = random_model(rng, i % 2 == 0)
+        if i % 3 == 0:
+            m = dataclasses.replace(m, discounts={"a": F(1, 2), "b": F(1)})
+        try:
+            f = fml(m, random_state_formula(rng, 2))
+        except GcgmpError:
+            continue
+        outcomes.append(_oracle_outcome(m, f, *ORACLE_PAIRS[i % 4]))
+    # (s, 0) is reached at step indices 1 and 2, where x pays 2 and 1
+    half = dataclasses.replace(one_agent_loop([("x", 4), ("skip", 0)]), discounts={"a": F(1, 2)})
+    f = fml(half, "<<a>> X (<<a>> X (v_a = 1))")
+    outcomes.append(_oracle_outcome(half, f, ML_CONFIG, ML_CONFIG))
+    wide = model_from_dict({
+        "agents": ["a", "b"], "states": ["s0"],
+        "actions": {"a": ["x", "y"], "b": ["x", "y"]},
+        "transitions": [{"from": "s0", "profile": {"a": a, "b": b}, "to": "s0"}
+                        for a, b in WIDE_PAYOFFS],
+        "payoffs": [{"state": "s0", "profile": {"a": a, "b": b}, "values": {"a": u, "b": v}}
+                    for (a, b), (u, v) in WIDE_PAYOFFS.items()],
+        "labels": {"s0": ["p"]},
+    })
+    outcomes.append(_oracle_outcome(wide, fml(wide, "<<b>>X (v_b > 10)"), ML_CONFIG, ML_CONFIG))
+    return outcomes
+
+
+def test_oracle_outcomes_are_pinned():
+    outcomes = _oracle_population_outcomes()
+    assert outcomes[-1] == "TooLarge: oracle enumeration exceeded its play budget"
+    blob = "\n".join(outcomes).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == ORACLE_DIGEST
+
+
+class TestPlaysThatStop:
+    # a's state-based move at s dies one step later: "go" needs v_a >= 0 and
+    # costs 1, "stay" needs v_a < 0.  A play stops where an agent's committed
+    # move is disabled; its undetermined future is lost for a blocked
+    # coalition and won for stuck opponents, but what its positions settled
+    # stands.
+    DOC = {
+        "agents": ["a"],
+        "states": ["s"],
+        "actions": {"a": ["go", "stay"]},
+        "transitions": [
+            {"from": "s", "profile": {"a": act}, "to": "s"} for act in ("go", "stay")
+        ],
+        "payoffs": [
+            {"state": "s", "profile": {"a": "go"}, "values": {"a": "-1"}},
+            {"state": "s", "profile": {"a": "stay"}, "values": {"a": "0"}},
+        ],
+        "labels": {"s": ["q"]},
+        "guards": [
+            {"agent": "a", "state": "s", "action": "go", "formula": "v_a >= 0"},
+            {"agent": "a", "state": "s", "action": "stay", "formula": "v_a < 0"},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("<<a>> X q", True),  # settled at position 1, blocked only after
+            ("<<a>> G q", False),  # every state-based move is blocked in time
+            ("<<a>> (true U q)", True),
+            ("<<>> G !q", False),  # violated before the commitment dies
+            ("<<>> X !q", False),
+            ("<<>> G q", True),
+        ],
+    )
+    def test_oracle_and_bounded_agree(self, text, want):
+        m = mk(self.DOC)
+        c0 = Configuration("s", (F(0),))
+        f = fml(m, text)
+        assert enumerate_oracle(m, c0, f, ML_STATE, ML_STATE, depth=4).value is want
+        assert check_bounded(m, c0, f, ML_STATE, ML_STATE, Budget(4)).value is want

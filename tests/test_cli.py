@@ -273,6 +273,16 @@ class TestCheck:
         assert code == 2
         assert "not well-formed" in err
 
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\u2028"])
+    def test_line_break_in_a_name_stays_on_one_line(self, capsys, tmp_path, brk):
+        doc = incskip_doc()
+        doc["transitions"]["t"] = {brk: "s"}
+        path = write_model(tmp_path, doc)
+        code, report, err = run(capsys, "check", path, "<<a>> X true")
+        assert (code, report) == (2, None)
+        assert len(err.splitlines()) == 1
+        assert repr(brk)[1:-1] in err
+
 
 class TestSimulate:
     def test_pinned_cooperation_prefix(self, capsys, fig1_path):

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -327,6 +328,17 @@ class TestExplore:
         # one step is allowed, after that the guard blocks everything
         r = explore(m, initial_config(m, "s"), 5)
         assert len(r.nodes) == 2
+        assert not r.truncated
+
+    def test_closed_graph_stops_before_the_bound(self):
+        # the zero-payoff loop closes on its root at once, so the search must
+        # stop there rather than walk every remaining level of the bound
+        m = model_from_dict(loop_doc(pay="0"))
+        t0 = time.perf_counter()
+        r = explore(m, initial_config(m, "s"), 10**9)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(r.nodes) == 1
+        assert len(r.edges) == 1
         assert not r.truncated
 
     def test_graph_carries_root_and_bound(self):
