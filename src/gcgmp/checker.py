@@ -21,11 +21,12 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
     Three-valued search for everything else.  Proponent strategies are
     enumerated lazily through an odometer over consultation points with
     conflict-directed backjumping; opponents branch freely (perfect
-    recall) or under per-path commitment (memoryless).  A play that
-    revisits a configuration (possible only with 0/1 discounts) closes
-    into a lasso and is judged exactly; open plays at the horizon come
-    back Unknown.  True verdicts carry a replayable strategy table, False
-    verdicts a set of refuted-assignment traces.
+    recall) or under per-path commitment (memoryless).  Each sweep after
+    a backjump resumes at a checkpoint of the last one instead of walking
+    again from the root.  A play that revisits a configuration (possible
+    only with 0/1 discounts) closes into a lasso and is judged exactly;
+    open plays at the horizon come back Unknown.  True verdicts carry a
+    replayable strategy table, False verdicts refuted-assignment traces.
 
 ``enumerate_oracle``
     An independent, deliberately naive enumeration of proponent/opponent
@@ -36,6 +37,7 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections import deque
@@ -157,8 +159,10 @@ class Budget:
     """Exploration limits for the bounded engine.
 
     ``depth`` is the maximal number of transitions along any play;
-    ``max_strategies`` caps how many proponent assignments one coalition
-    node may try; ``max_nodes`` caps total search-tree nodes per call.
+    ``max_strategies`` caps how many sweeps (proponent assignments) one
+    coalition node may try; ``max_nodes`` caps the nodes the walks enter
+    per call, over every horizon tried.  A resumed sweep does not enter
+    again the nodes before its checkpoint, so they count once.
     """
 
     depth: int
@@ -365,6 +369,9 @@ class _BudgetStop(Exception):
     """Internal: the node budget ran out; surfaces as an Unknown verdict."""
 
 
+_OPEN = object()  # a walked node that is still to be expanded
+
+
 @dataclass
 class _Point:
     """One proponent consultation point in the odometer."""
@@ -522,6 +529,17 @@ class _CoopSolver:
     each sweep fixes its committed choices and walks every opponent branch.
     A refuted sweep reports which points it actually consulted, and the
     odometer backjumps to the deepest of them, discarding younger points.
+
+    A sweep resumes where the backjump lands instead of walking again from
+    the root, which keeps the work of the unchanged moves as dynamic
+    backtracking does (Ginsberg, JAIR 1993).  The walk is an explicit stack
+    of immutable frames, each linked to its parent.  A consultation whose
+    point id is higher than every id consulted before it in the sweep keeps
+    a checkpoint: the node's folded state, the frame above it and copies of
+    the path.  The walk up to that consultation read only lower points, and
+    it is deterministic in their moves.  So after a backjump to point j,
+    the next sweep starts at the first checkpoint whose id is at least j,
+    and at the root if there is none.
     """
 
     def __init__(self, ctx: _Ctx, coop: Coop, c0: Configuration, l0: int, depth: int):
@@ -543,7 +561,10 @@ class _CoopSolver:
         self.points: list[_Point] = []
         self.index: dict = {}
         self.records: list = []
-        self.sweep_consulted: set = set()
+        self.sweep_consulted: dict = {}  # point ids in first-consulted order
+        # (point id, frame, c, l, machine, consulted, n, path_configs,
+        # path_profiles, tau_store) at each record-high consultation
+        self.checkpoints: list = []
         self.capped = False  # gave up because of the sweep budget
         self.saw_refutation = False
 
@@ -564,7 +585,7 @@ class _CoopSolver:
             self.points.append(_Point(key, obs, alts))
             self.index[key] = pid
         point = self.points[pid]
-        self.sweep_consulted.add(pid)
+        self.sweep_consulted[pid] = None
         if not point.alts:
             return None, pid, True
         move = point.move
@@ -575,9 +596,10 @@ class _CoopSolver:
                 return None, pid, True
         return move, pid, False
 
-    def _bump(self, conflict: set) -> bool:
-        """Advance the odometer past a refuted assignment; False when the
-        whole proponent space is exhausted."""
+    def _bump(self, conflict: set) -> Optional[int]:
+        """Advance the odometer past a refuted assignment.  Returns the id
+        of the point that moved, or None when the whole proponent space is
+        exhausted."""
         work = set(conflict)
         while work:
             j = max(work)
@@ -588,26 +610,24 @@ class _CoopSolver:
                 self.index.pop(p.key, None)
             del self.points[j + 1 :]
             if point.idx < len(point.alts):
-                return True
+                return j
             work = set(point.blame)
             self.index.pop(point.key, None)
             del self.points[j]
-        return False
+        return None
 
     # -- one sweep -------------------------------------------------------
 
     def solve(self):
         sweeps = 0
         any_unknown = False
+        start = None
         while True:
             sweeps += 1
             if sweeps > self.ctx.budget.max_strategies:
                 self.capped = True
                 return None, None, None
-            self.sweep_consulted = set()
-            value, conflict, record = self._walk(
-                self.c0, self.l0, [self.c0], [], self.machine0, {}, frozenset(), {id(self.c0): 0}
-            )
+            value, conflict, record = self._walk(start)
             if value is True:
                 return True, self._witness(), None
             if value is False:
@@ -622,18 +642,25 @@ class _CoopSolver:
                     self.records.append(record)
                 if not conflict:
                     return False, None, self.records
-                if not self._bump(conflict):
+                j = self._bump(conflict)
+                if j is None:
                     if any_unknown:
                         return None, None, None
                     return False, None, self.records
-                continue
-            # unknown sweep: this horizon cannot refute the proponent any
-            # more, so treat every live point as suspect and move on
-            any_unknown = True
-            if not self.points:
-                return None, None, None
-            if not self._bump(set(range(len(self.points)))):
-                return None, None, None
+            else:
+                # unknown sweep: this horizon cannot refute the proponent any
+                # more, so treat every live point as suspect and move on
+                any_unknown = True
+                if not self.points:
+                    return None, None, None
+                j = self._bump(set(range(len(self.points))))
+                if j is None:
+                    return None, None, None
+            # checkpoint ids rise through the sweep; drop the first one at or
+            # past j and all after it, since the next sweep passes it again
+            k = bisect.bisect_left(self.checkpoints, j, key=operator.itemgetter(0))
+            start = self.checkpoints[k] if k < len(self.checkpoints) else None
+            del self.checkpoints[k if start else 0 :]
 
     def _witness(self) -> StrategyTable:
         moves: dict[str, dict[str, str]] = {a: {} for a in self.members}
@@ -646,124 +673,139 @@ class _CoopSolver:
 
     # -- the for-all walk --------------------------------------------------
 
-    def _walk(
-        self,
-        c,
-        l,
-        path_configs,
-        path_profiles,
-        machine,
-        tau_store,
-        consulted,
-        path_index,
-    ):
+    def _walk(self, start):
+        """One sweep, from the root (``start`` None) or from a checkpoint.
+
+        A frame is (parent, c, l, machine, consulted, move, tau_key, push,
+        responses, i, unknown): a node being expanded, whose response
+        ``responses[i - 1]`` led to the child walked now.  Returns (value,
+        conflict, record); a False value ends the sweep.
+        """
         ctx = self.ctx
-        ctx.tick()
-        pos = len(path_profiles)
+        depth, members, others = self.depth, self.members, self.others
+        weave = getattr(self, "weave", None)
+        tau_memoryless = bool(others) and ctx.so.memory is StrategyMemory.MEMORYLESS
+        fold = start is None  # a resumed node was entered by the last sweep
+        root = (-1, None, self.c0, self.l0, self.machine0, frozenset(), 0, (self.c0,), (), {})
+        _, top, c, l, machine, consulted, n, configs, profiles, taus = start or root
+        path_configs, path_profiles, tau_store = list(configs), list(profiles), dict(taus)
+        # the first occurrence of a configuration wins
+        path_index = dict(zip(map(id, reversed(configs)), range(len(configs) - 1, -1, -1)))
+        self.sweep_consulted = dict.fromkeys(itertools.islice(self.sweep_consulted, n))
+        high = self.checkpoints[-1][0] if self.checkpoints else -1
 
-        # fold the current position into the body state
-        kind = machine[0]
-        if kind == "X":
-            if pos == 1:
-                v = _eval_interned(ctx, machine[1], c, l, self.depth)
+        def refuted(loop=None):
+            return False, consulted, _trace(ctx.m, path_configs, path_profiles, loop)
+
+        while True:
+            # -- enter c: fold the position into the body state, close a
+            # lasso, stop at the horizon
+            v = _OPEN
+            if fold:
+                ctx.tick()
+                pos = len(path_profiles)
+                kind = machine[0]
+                if kind == "X":
+                    if pos == 1:
+                        v = _eval_interned(ctx, machine[1], c, l, depth)
+                elif kind == "G":
+                    v = _eval_interned(ctx, machine[1], c, l, depth)
+                    machine = ("G", machine[1], k_and(machine[2], v))
+                    v = _OPEN if v is not False else v
+                elif kind == "U":
+                    _, phi1, phi2, best, pcond = machine
+                    best = k_or(best, k_and(pcond, _eval_interned(ctx, phi2, c, l, depth)))
+                    if best is True:
+                        v = True
+                    else:
+                        pcond = k_and(pcond, _eval_interned(ctx, phi1, c, l, depth))
+                        if pcond is False:
+                            v = best and None  # False, or None for an open best
+                        machine = ("U", phi1, phi2, best, pcond)
                 if v is False:
-                    return False, consulted, _trace(ctx.m, path_configs, path_profiles)
-                return v, None, None
-        elif kind == "G":
-            v = _eval_interned(ctx, machine[1], c, l, self.depth)
-            if v is False:
-                return False, consulted, _trace(ctx.m, path_configs, path_profiles)
-            machine = ("G", machine[1], k_and(machine[2], v))
-        elif kind == "U":
-            _, phi1, phi2, best, pcond = machine
-            e2 = _eval_interned(ctx, phi2, c, l, self.depth)
-            best = k_or(best, k_and(pcond, e2))
-            if best is True:
-                return True, None, None
-            e1 = _eval_interned(ctx, phi1, c, l, self.depth)
-            pcond = k_and(pcond, e1)
-            if pcond is False:
-                if best is False:
-                    return False, consulted, _trace(ctx.m, path_configs, path_profiles)
-                return None, None, None
-            machine = ("U", phi1, phi2, best, pcond)
+                    return refuted()
 
-        # lasso closure: an exact repeat pins the infinite play
-        if pos >= 1 and ctx.m.lassos_close:
-            j = path_index.get(id(c))
-            if j is not None and j < pos:
-                v = self._closure_verdict(machine, path_configs, path_profiles, j)
-                if (
-                    v is False
-                    and self.members
-                    and ctx.sp.memory is StrategyMemory.PERFECT_RECALL
-                ):
-                    # a recall-ful proponent may deviate in later laps;
-                    # pumping refutes only its memoryless collapse (with no
-                    # coalition choices at all, the pump is forced and final)
+                # lasso closure: an exact repeat pins the infinite play
+                if v is _OPEN and pos >= 1 and ctx.m.lassos_close:
+                    j = path_index.get(id(c))
+                    if j is not None and j < pos:
+                        v = self._closure_verdict(machine, path_configs, path_profiles, j)
+                        if (
+                            v is False
+                            and members
+                            and ctx.sp.memory is StrategyMemory.PERFECT_RECALL
+                        ):
+                            # a recall-ful proponent may deviate in later laps;
+                            # pumping refutes only its memoryless collapse (with
+                            # no coalition choices at all, the pump is forced
+                            # and final)
+                            v = None
+                        if v is False:
+                            return refuted(j)
+
+                if v is _OPEN and pos >= depth:
                     v = None
-                if v is False:
-                    return (
-                        False,
-                        consulted,
-                        _trace(ctx.m, path_configs, path_profiles, loop=j),
-                    )
-                return v, None, None
+            fold = True
 
-        if pos >= self.depth:
-            return None, None, None
+            if v is _OPEN:
+                move, pid, invalid = self._consult(c, path_configs)
+                if pid is not None:
+                    if pid > high:
+                        high = pid
+                        n = len(self.sweep_consulted) - 1
+                        self.checkpoints.append((
+                            pid, top, c, l, machine, consulted, n,
+                            tuple(path_configs), tuple(path_profiles), dict(tau_store),
+                        ))
+                    consulted = consulted | {pid}
+                if invalid:
+                    return refuted()
+                pools = ctx.pools(c)
+                tau_key = _search_key(ctx.so, path_configs) if others else None
+                committed = tau_store.get(tau_key) if others else None
+                if committed is None:
+                    responses = list(itertools.product(*[pools[i] for i in self.oi]))
+                elif all(act in pools[i] for i, act in zip(self.oi, committed)):
+                    responses = [committed]
+                else:
+                    responses = []  # the committed opponent action is no longer legal
+                if responses:
+                    push = tau_memoryless and committed is None
+                    top = (top, c, l, machine, consulted, move, tau_key, push, responses, 0, False)
+                else:
+                    v = True  # opponents are stuck: nothing to refute
 
-        move, pid, invalid = self._consult(c, path_configs)
-        if pid is not None:
-            consulted = consulted | {pid}
-        if invalid:
-            return False, consulted, _trace(ctx.m, path_configs, path_profiles)
-
-        pools = ctx.pools(c)
-        tau_key = _search_key(ctx.so, path_configs) if self.others else None
-        committed = tau_store.get(tau_key) if self.others else None
-        if committed is not None:
-            responses = [committed]
-        else:
-            responses = list(itertools.product(*[pools[i] for i in self.oi]))
-            if self.others and not responses:
-                return True, None, None  # opponents are stuck: nothing to refute
-
-        any_unknown = False
-        for resp in responses:
-            if committed is not None and not all(
-                act in pools[i] for i, act in zip(self.oi, resp)
-            ):
-                continue  # the committed opponent action is no longer legal
-            prof = resp if not self.members else self.weave(move + resp) if self.others else move
-            c2 = ctx.succ(c, prof, l)
-            pushed = False
-            if (
-                self.others
-                and committed is None
-                and ctx.so.memory is StrategyMemory.MEMORYLESS
-            ):
+            # -- report resolved nodes upwards, then descend into the next child
+            while v is not _OPEN:
+                if top is None:
+                    return v, None, None
+                if top[7]:
+                    del tau_store[top[6]]
+                if top[9] < len(top[8]):
+                    if v is None and not top[10]:
+                        top = top[:10] + (True,)
+                    break
+                if top[10]:
+                    v = None  # every response is walked and one was unknown
+                top = top[0]
+            _, c, l, machine, consulted, move, tau_key, push, responses, i, unknown = top
+            resp = responses[i]
+            prof = resp if not members else weave(move + resp) if others else move
+            top = top[:9] + (i + 1, unknown)
+            if push:
                 tau_store[tau_key] = resp
-                pushed = True
-            fresh = id(c2) not in path_index
-            if fresh:
-                path_index[id(c2)] = pos + 1
-            path_configs.append(c2)
+            # the path lists keep stale entries past the parent until here
+            pos = l - self.l0 + 1
+            del path_configs[pos:], path_profiles[pos - 1 :]
+            c = ctx.succ(c, prof, l)
+            l += 1
+            # an entry left by an abandoned branch is corrected here, before
+            # the lasso test at c reads it
+            j = path_index.get(id(c))
+            if j is None or j >= pos or path_configs[j] is not c:
+                path_index[id(c)] = pos
+            path_configs.append(c)
             path_profiles.append(prof)
-            value, conflict, record = self._walk(
-                c2, l + 1, path_configs, path_profiles, machine, tau_store, consulted, path_index
-            )
-            path_configs.pop()
-            path_profiles.pop()
-            if fresh:
-                del path_index[id(c2)]
-            if pushed:
-                del tau_store[tau_key]
-            if value is False:
-                return False, conflict, record
-            if value is None:
-                any_unknown = True
-        return (None if any_unknown else True), None, None
 
     def _closure_verdict(self, machine, path_configs, path_profiles, j):
         kind = machine[0]

@@ -353,30 +353,30 @@ def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> 
         return (c, l) if indexed else c
 
     init_key = key(init, start_index)
-    seen = {init_key}
+    seen = {init_key: init_key}  # one stored copy per node; edges share it
     order = [init_key]
     edges = []
-    frontier = [(init, start_index)]
+    frontier = [(init, start_index, init_key)]
     unexpanded = set()
     enabled: dict = {}
     for dist in range(depth + 1):
         if not frontier:
             break  # the graph closed before the horizon
         nxt = []
-        for c, l in frontier:
+        for c, l, k in frontier:
             profs = list(itertools.product(*enabled_pools(m, c, enabled)))
             if dist == depth:
                 if profs:
-                    unexpanded.add(key(c, l))
+                    unexpanded.add(k)
                 continue
             for prof in profs:  # enabled already: no guard re-check
                 c2 = successor(m, c, prof, l)
                 k2 = key(c2, l + 1)
-                edges.append((key(c, l), prof, k2))
-                if k2 not in seen:
-                    seen.add(k2)
+                known = seen.setdefault(k2, k2)
+                edges.append((k, prof, known))
+                if known is k2:
                     order.append(k2)
-                    nxt.append((c2, l + 1))
+                    nxt.append((c2, l + 1, k2))
         frontier = nxt
     return ExploreResult(
         tuple(order),

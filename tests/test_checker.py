@@ -403,6 +403,44 @@ class TestBounded:
         # the accepting table really wins: replay it against every response
         assert replay_strategy_table(fig1, c0, f, v.witness, ML_CONFIG, 120)
 
+    def test_a_lasso_closes_only_on_its_own_path(self):
+        # x reaches t in one step, y in two; t then moves to g, labelled q.
+        # The walk meets t at position 1 on the x branch, so when it meets t
+        # again at position 2 on the y branch, that is no repeat of the y
+        # play, and closing a lasso there would refute every branch
+        edges = [("s", "x", "t"), ("s", "y", "u"), ("u", "x", "t"), ("u", "y", "t"),
+                 ("t", "x", "g"), ("t", "y", "g"), ("g", "x", "g"), ("g", "y", "g")]
+        m = mk({
+            "agents": ["a"],
+            "states": ["s", "u", "t", "g"],
+            "actions": {"a": ["x", "y"]},
+            "transitions": [{"from": s, "profile": {"a": a}, "to": t} for s, a, t in edges],
+            "payoffs": [{"state": s, "profile": {"a": a}, "values": {"a": "0"}}
+                        for s, a, _ in edges],
+            "labels": {"g": ["q"]},
+        })
+        v = check_bounded(m, Configuration("s", (F(0),)), fml(m, "<<>> (true U q)"), budget=4)
+        assert (v.value, v.bound_used) == (True, 4)
+
+    def test_an_opponent_commits_only_along_its_own_path(self):
+        # a memoryless opponent plays y at t on the x branch; on the y branch
+        # it reaches t with v_a = 1 and is free to play x there, which pays 1
+        edges = [("s", "x", "t", "0"), ("s", "y", "u", "1"), ("u", "x", "t", "0"),
+                 ("u", "y", "t", "0"), ("t", "x", "g", "1"), ("t", "y", "g", "0"),
+                 ("g", "x", "g", "0"), ("g", "y", "g", "0")]
+        m = mk({
+            "agents": ["a"],
+            "states": ["s", "u", "t", "g"],
+            "actions": {"a": ["x", "y"]},
+            "transitions": [{"from": s, "profile": {"a": a}, "to": t} for s, a, t, _ in edges],
+            "payoffs": [{"state": s, "profile": {"a": a}, "values": {"a": p}}
+                        for s, a, _, p in edges],
+            "labels": {},
+        })
+        f = fml(m, "<<>> G (v_a <= 1)")
+        v = check_bounded(m, Configuration("s", (F(0),)), f, ML_STATE, ML_STATE, Budget(4))
+        assert v.value is False
+
     def test_lone_player_cannot_stay_safe(self, fig1):
         c0 = Configuration("s1", (F(0), F(0)))
         f = fml(fig1, "<<I>> G (p1 | v_I > 0)")
@@ -580,6 +618,9 @@ BOUNDED_GOLDEN = [
     ("fig1", "<<I,II>>(true U (p1 & v_I > 20 & v_II > 20))", 60, "ml-config", "pr-state",
      "true", 16,
      "561d47520105bf3712ad2e76af4c1dfd3fccc8be55de79fec0768de407286eca"),
+    ("fig1", "<<I,II>>(true U (p1 & v_I > 100 & v_II > 100))", 120, "ml-config", "ml-config",
+     "true", 64,
+     "08cb1dcd99802aefb98eeac84b37d032ce789718902a5c02e7b64adcccce5212"),
     ("fig1", "<<I,II>>(true U (p1 & v_I > 12 & v_II > 12))", 60, "pr-config", "pr-config",
      "true", 8,
      "83cd71c9f55f72d89b68b15c48a974cb366fd9aa9e193889ece8cd2bb000de78"),
@@ -628,6 +669,21 @@ def test_bounded_reports_are_pinned(fig1, model, text, depth, sp, so, verdict, b
     assert (doc["verdict"], doc.get("bound_used")) == (verdict, bound)
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_sweeps_resume_instead_of_replaying(fig1):
+    # the rich query's 12,050 sweeps walk about 16,000 nodes when each one
+    # resumes at its backjump point, and 236,203 when each one starts again
+    # from the root, which runs out of this node budget at bound 8
+    v = check_bounded(
+        fig1,
+        Configuration("s1", (F(0), F(0))),
+        fml(fig1, "<<I,II>>(true U (p1 & v_I > 100 & v_II > 100))"),
+        ML_CONFIG,
+        ML_CONFIG,
+        Budget(120, max_nodes=20_000),
+    )
+    assert (v.value, v.bound_used) == (True, 64)
 
 
 # --- play-value checks -------------------------------------------------------
@@ -1025,6 +1081,41 @@ def test_oracle_outcomes_are_pinned():
     assert outcomes[-1] == "TooLarge: oracle enumeration exceeded its play budget"
     blob = "\n".join(outcomes).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == ORACLE_DIGEST
+
+
+# Bounded reports pinned over a seeded population: sha256 of the ordered
+# `Verdict.as_json()` documents (or the refusal) at depth 4, cycling through
+# all 16 strategy-class pairs, every third model discounted by 1/2.  Witness
+# tables, refutation traces and bounds all enter the digest, so any change to
+# the order in which the search walks or backjumps shows here.
+CLASSES = (ML_STATE, ML_CONFIG, PR_STATE, PR_CONFIG)
+CLASS_PAIRS = list(itertools.product(CLASSES, CLASSES))
+BOUNDED_POPULATION_DIGEST = "4ff30a33a3c090a47652cc427e7c550fb5cbbf006e7b629475d706fb32ae7a1c"
+
+
+def _bounded_population_outcomes() -> list:
+    rng = random.Random(20261020)
+    outcomes = []
+    for i in range(160):
+        m = random_model(rng, i % 2 == 0)
+        if i % 3 == 0:
+            m = dataclasses.replace(m, discounts={"a": F(1, 2), "b": F(1)})
+        try:
+            f = fml(m, random_state_formula(rng, 2))
+        except GcgmpError:
+            continue
+        c0 = Configuration(m.states[0], tuple(F(0) for _ in m.agents))
+        try:
+            doc = check_bounded(m, c0, f, *CLASS_PAIRS[i % 16], Budget(4)).as_json()
+            outcomes.append(json.dumps(doc, sort_keys=True))
+        except GcgmpError as e:
+            outcomes.append(f"{type(e).__name__}: {e}")
+    return outcomes
+
+
+def test_bounded_reports_are_pinned_on_a_population():
+    blob = "\n".join(_bounded_population_outcomes()).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == BOUNDED_POPULATION_DIGEST
 
 
 class TestPlaysThatStop:

@@ -160,6 +160,21 @@ class TestCheck:
         assert report["counterexample"]
         assert report["bounds"]["depth"] == 20
 
+    def test_bounded_walks_deeper_than_the_recursion_limit(self, tmp_path):
+        # one action that loops and pays 1: the goal lies 1,501 steps down a
+        # single path, past the interpreter's default limit of 1,000 frames
+        doc = {**incskip_doc(), "actions": {"a": ["x"]},
+               "transitions": {"s": {"x": "s"}}, "payoffs": {"s": {"x": [1]}}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcgmp.cli", "check", write_model(tmp_path, doc, "one.json"),
+             "<<a>>(true U v_a > 1500)", "--depth", "2000", "--engine", "bounded"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)  # exactly one document
+        assert (report["verdict"], report["bound_used"]) == ("true", 2000)
+
     def test_saturated_proves_the_capped_growth_claim(self, capsys, tmp_path):
         path = write_model(tmp_path, incskip_doc())
         code, report, _ = run(

@@ -360,6 +360,15 @@ class TestExplore:
             (c, l), c2 = (src, dst[0]) if r.step_indexed else ((src, 1), dst)
             assert step(m, c, prof, l) == c2
 
+    @pytest.mark.parametrize("discount_i", [F(1), F(1, 2)], ids=["undiscounted", "half"])
+    def test_edges_share_the_node_keys(self, discount_i):
+        # every edge end is a stored node key itself, not an equal copy, so a
+        # duplicate successor is freed as soon as it is found
+        m = replace(builtin_fig1(), discounts={"I": discount_i, "II": F(1)})
+        r = explore(m, initial_config(m, "s1"), 8)
+        ids = {id(k) for k in r.nodes}
+        assert all(id(src) in ids and id(dst) in ids for src, _, dst in r.edges)
+
     def test_dot_output(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 1)
