@@ -30,9 +30,12 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
 
 ``enumerate_oracle``
     An independent, deliberately naive enumeration of proponent/opponent
-    strategy choices over the bounded tree, evaluating the temporal
-    clauses literally on each outcome play.  Used to cross-validate the
+    strategy choices over the bounded tree.  Used to cross-validate the
     engines on tiny instances.
+
+The oracle and ``replay_strategy_table``, the audit of a True verdict's
+strategy table, share one literal play checker, ``_Literal``, which uses
+none of the engines' successor or pool code.
 """
 
 from __future__ import annotations
@@ -506,7 +509,7 @@ def observation_key(spec: StrategyClassSpec, configs) -> str:
     return _obs_str(_strategy_key(spec, list(configs)))
 
 
-def _trace(m: Gcgmp, configs, profiles, loop=None) -> dict:
+def _trace(configs, profiles, loop) -> dict:
     steps = []
     for i, c in enumerate(configs):
         entry = {
@@ -560,7 +563,7 @@ class _CoopSolver:
         self.machine0 = _body_machine(coop.body)
         self.points: list[_Point] = []
         self.index: dict = {}
-        self.records: list = []
+        self.records: list = []  # (configs, profiles, loop, refutes) per refutation
         self.sweep_consulted: dict = {}  # point ids in first-consulted order
         # (point id, frame, c, l, machine, consulted, n, path_configs,
         # path_profiles, tau_store) at each record-high consultation
@@ -578,7 +581,7 @@ class _CoopSolver:
         key = _search_key(self.ctx.sp, path_configs)
         pid = self.index.get(key)
         pools = self.ctx.pools(c)
-        if pid is None or pid >= len(self.points) or self.points[pid].key != key:
+        if pid is None:
             alts = list(itertools.product(*[pools[i] for i in self.mi]))
             pid = len(self.points)
             obs = _strategy_key(self.ctx.sp, path_configs)
@@ -632,14 +635,14 @@ class _CoopSolver:
                 return True, self._witness(), None
             if value is False:
                 self.saw_refutation = True
-                if record is not None and len(self.records) < 50:
-                    # a point with no enabled coalition move commits to nothing
-                    record["refutes"] = {
+                if len(self.records) < 50:
+                    # a point with no enabled coalition move commits to nothing;
+                    # the moves change on a bump, so they are named now
+                    self.records.append(record + ({
                         _obs_str(self.points[i].obs): list(self.points[i].move)
                         for i in sorted(conflict)
                         if self.points[i].alts
-                    }
-                    self.records.append(record)
+                    },))
                 if not conflict:
                     return False, None, self.records
                 j = self._bump(conflict)
@@ -679,7 +682,8 @@ class _CoopSolver:
         A frame is (parent, c, l, machine, consulted, move, tau_key, push,
         responses, i, unknown): a node being expanded, whose response
         ``responses[i - 1]`` led to the child walked now.  Returns (value,
-        conflict, record); a False value ends the sweep.
+        conflict, record); a False value ends the sweep, and its record is
+        the refuted path as (configurations, profiles, loop index).
         """
         ctx = self.ctx
         depth, members, others = self.depth, self.members, self.others
@@ -695,7 +699,7 @@ class _CoopSolver:
         high = self.checkpoints[-1][0] if self.checkpoints else -1
 
         def refuted(loop=None):
-            return False, consulted, _trace(ctx.m, path_configs, path_profiles, loop)
+            return False, consulted, (tuple(path_configs), tuple(path_profiles), loop)
 
         while True:
             # -- enter c: fold the position into the body state, close a
@@ -902,10 +906,14 @@ def check_bounded(
                 solver = _CoopSolver(ctx, f, c0, 1, depth)
                 value, witness, records = solver.solve()
                 if value is not None:
+                    # traces are built only for the refutations reported
                     return Verdict(
                         value,
                         witness=witness,
-                        counterexample=records if value is False else None,
+                        counterexample=None if records is None else [
+                            {**_trace(configs, profiles, loop), "refutes": refutes}
+                            for configs, profiles, loop, refutes in records
+                        ],
                         bound_used=depth,
                     )
                 if solver.capped and not solver.saw_refutation:
@@ -929,6 +937,161 @@ def check_apc_play(m: Gcgmp, p: Play, apc: PathConstraint) -> bool:
     return _REL_FN[apc.rel](play_value(m, p, apc.agent), apc.bound)
 
 
+# --- literal play checking ---------------------------------------------------
+
+
+class _Literal:
+    """Outcome plays of a coalition under given proponent moves, and the
+    clause-by-clause value of a body on each of them.
+
+    ``eval_sf(g, c, l)`` values a state formula at a configuration and step
+    index; ``spend()`` is called once per node entered.  Three caches serve
+    every node of one check, and only memoise: enabled sets on (agent,
+    state, own utility), guarded ``step`` results on (configuration,
+    profile, step index) and interned configurations, so lassos close on
+    identity.
+    """
+
+    def __init__(self, m: Gcgmp, so: StrategyClassSpec, depth: int, eval_sf, spend):
+        self.m = m
+        self.so = so
+        self.depth = depth
+        self.eval_sf = eval_sf
+        self.spend = spend
+        self.enabled_sets: dict = {}
+        self.steps: dict = {}
+        self.interned: dict = {}
+
+    def enabled(self, c: Configuration, a: str):
+        key = (a, c.state, c.utilities[self.m.agent_index(a)])
+        if key not in self.enabled_sets:
+            self.enabled_sets[key] = self.m.enabled_actions(*key)
+        return self.enabled_sets[key]
+
+    def step(self, c: Configuration, prof: tuple, l: int) -> Configuration:
+        key = (c, prof, l)
+        if key not in self.steps:
+            c2 = step(self.m, c, prof, l)
+            self.steps[key] = self.interned.setdefault(c2, c2)
+        return self.steps[key]
+
+    def plays(self, coop: Coop, croot: Configuration, l0: int, move_of) -> list:
+        """Every outcome play from ``croot`` at step index ``l0``, across all
+        opponent behaviours of the class, as (configs, profiles, loop, cut)
+        tuples in depth-first order.
+
+        ``move_of(configs)`` is the coalition's joint move after a history,
+        None where it prescribes none.  The tree is walked from an explicit
+        stack, so plays of any length fit, and each child is stepped just
+        before it is entered, so ``step`` and ``spend()`` run depth first.
+        """
+        m = self.m
+        members = [a for a in m.agents if a in coop.coalition]
+        others = [a for a in m.agents if a not in coop.coalition]
+        commits = bool(others) and self.so.memory is StrategyMemory.MEMORYLESS
+        out = []
+        # (parent configs, parent profiles, opponent commitments, profile taken)
+        stack = [([], [], {}, None)]
+        while stack:
+            configs, profiles, tau, prof = stack.pop()
+            if prof is None:
+                c = self.interned.setdefault(croot, croot)
+            else:
+                c = self.step(configs[-1], prof, l0 + len(profiles))
+                profiles = profiles + [prof]
+            configs = configs + [c]
+            self.spend()
+            pos = len(profiles)
+            loop = None
+            if m.lassos_close:
+                for j in range(pos):
+                    if configs[j] is c:
+                        loop = j
+                        break
+            if loop is not None or pos >= self.depth:
+                out.append((configs, profiles, loop, None))
+                continue
+            move = move_of(configs) if members else ()
+            if move is None or any(act not in self.enabled(c, a) for a, act in zip(members, move)):
+                out.append((configs, profiles, None, False))
+                continue
+            tkey = _strategy_key(self.so, configs) if others else None
+            committed = tau.get(tkey) if others else None
+            if committed is None:
+                responses = list(itertools.product(*[self.enabled(c, a) for a in others]))
+            elif all(act in self.enabled(c, a) for a, act in zip(others, committed)):
+                responses = [committed]
+            else:
+                responses = []  # a dead commitment
+            if others and not responses:
+                out.append((configs, profiles, None, True))  # nothing to refute
+                continue
+            for resp in reversed(responses):
+                child_tau = {**tau, tkey: resp} if commits and committed is None else tau
+                prof = _weave(m.agents, members, move, others, resp)
+                stack.append((configs, profiles, child_tau, prof))
+        return out
+
+    def value(self, body, configs, profiles, loop, l0, sp_pr, cut) -> Vb:
+        """Clause-by-clause value of a ``_body_machine`` body on one play.
+
+        ``loop`` is None for a prefix that ends without closing, and ``cut``
+        is then the value of its undetermined future: Unknown at the horizon,
+        False where a proponent's move is disabled, True where the opponents
+        have none.  Positions are evaluated literally.  A False that exists
+        only because the closing cycle is pumped forever does not refute a
+        perfect-recall proponent (``sp_pr``), who may deviate in later laps,
+        so it degrades to Unknown.
+        """
+        eval_sf = self.eval_sf
+        n = len(profiles)
+        # a closed play repeats configs[loop] at position n; an open prefix
+        # still has a real final position to evaluate
+        last = n + 1 if loop is None else n
+        if body[0] == "X":
+            if n >= 1:
+                return eval_sf(body[1], configs[1], l0 + 1)
+            return cut
+        if body[0] == "G":
+            acc: Vb = True
+            for i in range(last):
+                acc = k_and(acc, eval_sf(body[1], configs[i], l0 + i))
+                if acc is False:
+                    return False
+            if loop is None:
+                return k_and(acc, cut)  # held so far, but the play ends
+            return acc
+        if body[0] == "U":
+            phi1, phi2 = body[1], body[2]
+            best: Vb = False
+            pcond: Vb = True
+            for i in range(last):
+                c, l = configs[i], l0 + i
+                best = k_or(best, k_and(pcond, eval_sf(phi2, c, l)))
+                if best is True:
+                    return True
+                pcond = k_and(pcond, eval_sf(phi1, c, l))
+                if pcond is False:
+                    return best if best is False else None
+            if loop is None:
+                return k_or(best, k_and(pcond, cut))
+            # closed play: every later position repeats a cycle position
+            if best is False:
+                return None if sp_pr else False
+            return None
+        # a play-value comparison, judged on closed plays only
+        if loop is None:
+            return cut
+        play = Play(tuple(configs), tuple(profiles), loop, start_index=l0)
+        try:
+            ok = check_apc_play(self.m, play, body[1])
+        except GcgmpError:
+            return None
+        if ok is False and sp_pr:
+            return None
+        return ok
+
+
 def replay_strategy_table(
     m: Gcgmp,
     c0: Configuration,
@@ -937,105 +1100,26 @@ def replay_strategy_table(
     so: StrategyClassSpec,
     depth: int,
 ) -> bool:
-    """Re-run a witness: every prescribed action must be enabled wherever
-    consulted, and every opponent branch must satisfy the body.  Used to
-    audit True verdicts independently of the search that produced them."""
-    machine0 = _body_machine(f.body)
-    members = [a for a in m.agents if a in f.coalition]
-    others = [a for a in m.agents if a not in f.coalition]
+    """Re-run a witness on the oracle's literal play checker: every
+    prescribed action must be enabled wherever consulted, and the body must
+    hold on every outcome play within ``depth`` steps.  Nested formulas are
+    valued by the bounded engine.  Used to audit True verdicts independently
+    of the search that produced them."""
     ctx = _Ctx(m, table.spec, so, Budget(depth))
+    members = [a for a in m.agents if a in f.coalition]
 
-    def eval_sub(g, c, l):
-        return _eval_state(ctx, g, c, l, depth)
+    def move_of(configs):
+        key = _obs_str(_strategy_key(table.spec, configs))
+        move = tuple(table.moves.get(a, {}).get(key) for a in members)
+        return None if None in move else move
 
-    def follow(c, l, path_configs, path_profiles, machine, tau_store) -> Vb:
-        pos = len(path_profiles)
-        kind = machine[0]
-        if kind == "X":
-            if pos == 1:
-                return eval_sub(machine[1], c, l)
-        elif kind == "G":
-            v = eval_sub(machine[1], c, l)
-            if v is False:
-                return False
-            machine = ("G", machine[1], k_and(machine[2], v))
-        elif kind == "U":
-            _, phi1, phi2, best, pcond = machine
-            best = k_or(best, k_and(pcond, eval_sub(phi2, c, l)))
-            if best is True:
-                return True
-            pcond = k_and(pcond, eval_sub(phi1, c, l))
-            if pcond is False:
-                return best if best is False else None
-            machine = ("U", phi1, phi2, best, pcond)
-        if pos >= 1 and m.lassos_close:
-            for j, prev in enumerate(path_configs[:-1]):
-                if prev == c:
-                    if kind == "G":
-                        return True if machine[2] is True else None
-                    if kind == "U":
-                        return machine[3] if machine[3] is not True else None
-                    if kind == "APC":
-                        play = Play(
-                            tuple(path_configs), tuple(path_profiles), j, start_index=1
-                        )
-                        try:
-                            return check_apc_play(m, play, machine[1])
-                        except GcgmpError:
-                            return None
-                    return None
-        if pos >= depth:
-            return None
-        if members:
-            key = _obs_str(_strategy_key(table.spec, path_configs))
-            move = []
-            for a in members:
-                act = table.moves.get(a, {}).get(key)
-                i = m.agent_index(a)
-                if act is None or act not in m.enabled_actions(
-                    a, c.state, c.utilities[i]
-                ):
-                    return False
-                move.append(act)
-            move = tuple(move)
-        else:
-            move = ()
-        tau_key = _strategy_key(so, path_configs) if others else None
-        committed = tau_store.get(tau_key) if others else None
-        if committed is not None:
-            responses = [committed]
-        else:
-            pools = [
-                m.enabled_actions(a, c.state, c.utilities[m.agent_index(a)])
-                for a in others
-            ]
-            responses = list(itertools.product(*pools))
-            if others and not responses:
-                return True
-        result: Vb = True
-        for resp in responses:
-            if committed is not None:
-                if any(
-                    act
-                    not in m.enabled_actions(a, c.state, c.utilities[m.agent_index(a)])
-                    for a, act in zip(others, resp)
-                ):
-                    continue
-            prof = _weave(m.agents, members, move, others, resp)
-            c2 = step(m, c, prof, l)
-            pushed = False
-            if others and committed is None and so.memory is StrategyMemory.MEMORYLESS:
-                tau_store[tau_key] = resp
-                pushed = True
-            v = follow(c2, l + 1, path_configs + [c2], path_profiles + [prof], machine, tau_store)
-            if pushed:
-                del tau_store[tau_key]
-            result = k_and(result, v)
-            if result is False:
-                return False
-        return result
-
-    return follow(c0, 1, [c0], [], machine0, {}) is True
+    lit = _Literal(m, so, depth, lambda g, c, l: _eval_state(ctx, g, c, l, depth), lambda: None)
+    body = _body_machine(f.body)
+    # only True counts, so a pumped False needs no downgrade under recall
+    return all(
+        lit.value(body, configs, profiles, loop, 1, False, cut) is True
+        for configs, profiles, loop, cut in lit.plays(f, c0, 1, move_of)
+    )
 
 
 # --- brute-force reference ---------------------------------------------------
@@ -1055,13 +1139,10 @@ def enumerate_oracle(
     observations actually consulted within the horizon (equivalent to
     enumerating all full tables, since unconsulted entries cannot matter),
     plays out every opponent behaviour of the stated class, and evaluates
-    the body positionally on each outcome play.  No pruning, no deepening,
-    no backjumping — just the definitions.
-
-    Three per-call caches serve every nested modality: enabled sets on
-    (agent, state, own utility), guarded ``step`` results on (configuration,
-    profile, step index) and interned configurations, so lassos close on
-    identity.  They only memoise: semantics and play accounting are unchanged.
+    the body positionally on each outcome play, both on the literal play
+    checker that witness replay shares.  No pruning, no deepening, no
+    backjumping — just the definitions.  One enumeration may enter 60,000
+    nodes over all its tables and modalities; past that it is TooLarge.
     """
     if len(m.states) > 4:
         raise TooLarge(f"{len(m.states)} states is beyond the oracle's scale")
@@ -1072,28 +1153,11 @@ def enumerate_oracle(
         raise TooLarge(f"depth {depth} is beyond the oracle's scale")
     _check_supported(f)
     memo: dict = {}
-    counter = {"plays": 0}
-    enabled_sets: dict = {}
-    steps: dict = {}
-    interned: dict = {c0: c0}
+    entered = itertools.count(1)
 
     def spend():
-        counter["plays"] += 1
-        if counter["plays"] > 60_000:
+        if next(entered) > 60_000:
             raise TooLarge("oracle enumeration exceeded its play budget")
-
-    def enabled(c, a):
-        key = (a, c.state, c.utilities[m.agent_index(a)])
-        if key not in enabled_sets:
-            enabled_sets[key] = m.enabled_actions(*key)
-        return enabled_sets[key]
-
-    def cached_step(c, prof, l):
-        key = (c, prof, l)
-        if key not in steps:
-            c2 = step(m, c, prof, l)
-            steps[key] = interned.setdefault(c2, c2)
-        return steps[key]
 
     def eval_sf(g, c, l) -> Vb:
         key = (g, c, l if m.step_indexed else None)
@@ -1117,143 +1181,20 @@ def enumerate_oracle(
             memo[key] = v
         return v
 
-    def eval_play(body, configs, profiles, loop, l0, sp_pr, cut) -> Vb:
-        """Clause-by-clause evaluation of a body on one outcome play.
-
-        ``loop`` is None for a prefix that ends without closing, and ``cut``
-        is then the value of its undetermined future: Unknown at the horizon,
-        False where a proponent's move is disabled, True where the opponents
-        have none.  Positions are evaluated literally.  A False that exists
-        only because the closing cycle is pumped forever does not refute a
-        perfect-recall proponent, who may deviate in later laps, so it
-        degrades to Unknown.
-        """
-        n = len(profiles)
-        # a closed play repeats configs[loop] at position n; an open prefix
-        # still has a real final position to evaluate
-        last = n + 1 if loop is None else n
-
-        def at(i):
-            return configs[i], l0 + i
-
-        if body[0] == "X":
-            if n >= 1:
-                return eval_sf(body[1], *at(1))
-            return cut
-        if body[0] == "G":
-            acc: Vb = True
-            for i in range(last):
-                c, l = at(i)
-                acc = k_and(acc, eval_sf(body[1], c, l))
-                if acc is False:
-                    return False
-            if loop is None:
-                return k_and(acc, cut)  # held so far, but the play ends
-            return acc
-        if body[0] == "U":
-            phi1, phi2 = body[1], body[2]
-            best: Vb = False
-            pcond: Vb = True
-            for i in range(last):
-                c, l = at(i)
-                best = k_or(best, k_and(pcond, eval_sf(phi2, c, l)))
-                if best is True:
-                    return True
-                pcond = k_and(pcond, eval_sf(phi1, c, l))
-                if pcond is False:
-                    return best if best is False else None
-            if loop is None:
-                return k_or(best, k_and(pcond, cut))
-            # closed play: every later position repeats a cycle position
-            if best is False:
-                return None if sp_pr else False
-            return None
-        if body[0] == "APC":
-            if loop is None:
-                return cut
-            play = Play(tuple(configs), tuple(profiles), loop, start_index=l0)
-            try:
-                ok = check_apc_play(m, play, body[1])
-            except GcgmpError:
-                return None
-            if ok is False and sp_pr:
-                return None
-            return ok
-        raise FragmentError(f"unsupported body: {body!r}")
+    lit = _Literal(m, so, depth, eval_sf, spend)
 
     def solve(coop: Coop, croot: Configuration, l0: int) -> Vb:
         body = _body_machine(coop.body)
-        if body[0] == "G":
-            body = ("G", body[1])
-        elif body[0] == "U":
-            body = ("U", body[1], body[2])
         members = [a for a in m.agents if a in coop.coalition]
-        others = [a for a in m.agents if a not in coop.coalition]
         sp_pr = bool(members) and sp.memory is StrategyMemory.PERFECT_RECALL
-
-        def all_plays(sigma: dict, tau: dict):
-            """Every outcome play under proponent table ``sigma``, across
-            all opponent behaviours extending ``tau``: yields
-            (configs, profiles, loop, cut) tuples."""
-            out = []
-
-            def go(configs, profiles, tau_local):
-                spend()
-                c = configs[-1]
-                pos = len(profiles)
-                if m.lassos_close and pos >= 1:
-                    for j in range(pos):
-                        if configs[j] is c:
-                            out.append((configs, profiles, j, None))
-                            return
-                if pos >= depth:
-                    out.append((configs, profiles, None, None))
-                    return
-                skey = _strategy_key(sp, configs) if members else None
-                move = sigma.get(skey) if members else ()
-                if members:
-                    if move is None:
-                        raise KeyError(skey)  # grow the table first
-                    if any(
-                        act not in enabled(c, a) for a, act in zip(members, move)
-                    ):
-                        out.append((configs, profiles, None, False))
-                        return
-                tkey = _strategy_key(so, configs) if others else None
-                committed = tau_local.get(tkey) if others else None
-                if committed is None:
-                    responses = list(
-                        itertools.product(*[enabled(c, a) for a in others])
-                    )
-                elif all(act in enabled(c, a) for a, act in zip(others, committed)):
-                    responses = [committed]
-                else:
-                    responses = []  # a dead commitment
-                if others and not responses:
-                    out.append((configs, profiles, None, True))  # nothing to refute
-                    return
-                for resp in responses:
-                    prof = _weave(m.agents, members, move, others, resp)
-                    c2 = cached_step(c, prof, l0 + pos)
-                    pushed = False
-                    if (
-                        others
-                        and committed is None
-                        and so.memory is StrategyMemory.MEMORYLESS
-                    ):
-                        tau_local[tkey] = resp
-                        pushed = True
-                    go(configs + [c2], profiles + [prof], tau_local)
-                    if pushed:
-                        del tau_local[tkey]
-
-            go([croot], [], dict(tau))
-            return out
 
         # chronological enumeration of proponent tables over consulted keys
         sigma: dict = {}
         order: list = []  # keys in creation order
         alts: dict = {}
+
+        def move_of(configs):
+            return sigma[_strategy_key(sp, configs)]  # KeyError: grow the table
 
         def next_assignment() -> bool:
             while order:
@@ -1272,9 +1213,9 @@ def enumerate_oracle(
             # evaluate the current (partial) table, growing it on demand
             try:
                 verdict: Vb = True
-                for configs, profiles, loop, cut in all_plays(sigma, {}):
+                for configs, profiles, loop, cut in lit.plays(coop, croot, l0, move_of):
                     verdict = k_and(
-                        verdict, eval_play(body, configs, profiles, loop, l0, sp_pr, cut)
+                        verdict, lit.value(body, configs, profiles, loop, l0, sp_pr, cut)
                     )
                     if verdict is False:
                         break
@@ -1283,7 +1224,7 @@ def enumerate_oracle(
                 # the last observation: a bare state or a configuration
                 last = key if isinstance(key, (str, Configuration)) else key[-1]
                 if isinstance(last, Configuration):
-                    pools = [enabled(last, a) for a in members]
+                    pools = [lit.enabled(last, a) for a in members]
                 else:
                     pools = [m.available_of(a, last) for a in members]
                 options = list(itertools.product(*pools))
@@ -1300,5 +1241,4 @@ def enumerate_oracle(
             if not next_assignment():
                 return None if any_unknown_sigma else False
 
-    value = eval_sf(f, c0, 1)
-    return Verdict(value)
+    return Verdict(eval_sf(f, c0, 1))

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcgmp import checker
 from gcgmp.arith import parse_apc
 from gcgmp.checker import (
     Budget,
+    StrategyTable,
     Verdict,
     check_apc_play,
     check_atl,
@@ -1116,6 +1118,98 @@ def _bounded_population_outcomes() -> list:
 def test_bounded_reports_are_pinned_on_a_population():
     blob = "\n".join(_bounded_population_outcomes()).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == BOUNDED_POPULATION_DIGEST
+
+
+# Witness replays pinned over a seeded population: every bounded True
+# witness at depth 4, over all 16 strategy-class pairs, is replayed at its
+# bound together with each table that flips one entry to another action or
+# deletes it.  The digest is the sha256 of the ordered booleans, so the
+# replay's verdict on a wrong table may not drift either.  The node budget
+# only keeps the slowest searches of the population short.
+#
+# The recursive replay this one replaced gave REPLAY_DIGEST_RECURSIVE, and
+# differed only in the three replays of STUCK_AFTER_UNKNOWN, which it
+# accepted: on `<<a>> G (<<>> G (v_a < 3))` (pr-state against ml-config) the
+# opponent is stuck after three positions where the nested value is
+# unknown.  That prefix values G as unknown, not true, on the literal
+# checker; the first of the three is the engine's own witness.
+REPLAY_DIGEST = "0519fbb0313a230b71ad3139b51c62f75c7511428c5367e3c9c31b6548501f44"
+REPLAY_DIGEST_RECURSIVE = "b32a94b490f3b4cef03b2ca80fbe2acb6f51caeb85a9793611204f6f56045b52"
+STUCK_AFTER_UNKNOWN = (629, 630, 636)
+
+
+def _replay_population_outcomes() -> list:
+    rng = random.Random(20261022)
+    outcomes = []
+    for i in range(2400):
+        m = random_model(rng, i % 2 == 0)
+        if i % 3 == 0:
+            m = dataclasses.replace(m, discounts={"a": F(1, 2), "b": F(1)})
+        try:
+            f = fml(m, random_state_formula(rng, 2))
+        except GcgmpError:
+            continue
+        sp, so = CLASS_PAIRS[i % 16]
+        c0 = Configuration(m.states[0], tuple(F(0) for _ in m.agents))
+        try:
+            v = check_bounded(m, c0, f, sp, so, Budget(4, max_nodes=20_000))
+        except GcgmpError:
+            continue
+        if v.witness is None:
+            continue
+        tables = [v.witness.moves]
+        for a, t in sorted(v.witness.moves.items()):
+            for key, act in sorted(t.items()):
+                tables += [{**v.witness.moves, a: {**t, key: x}} for x in m.actions[a] if x != act]
+                tables.append({**v.witness.moves, a: {k: x for k, x in t.items() if k != key}})
+        for moves in tables:
+            table = StrategyTable(sp, v.witness.coalition, moves)
+            outcomes.append(replay_strategy_table(m, c0, f, table, so, v.bound_used))
+    return outcomes
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256("".join("1" if ok else "0" for ok in outcomes).encode()).hexdigest()
+
+
+def test_witness_replays_are_pinned_on_a_population():
+    outcomes = _replay_population_outcomes()
+    assert len(outcomes) == 641 and outcomes.count(True) == 351
+    assert _digest(outcomes) == REPLAY_DIGEST
+    assert not any(outcomes[i] for i in STUCK_AFTER_UNKNOWN)
+    for i in STUCK_AFTER_UNKNOWN:
+        outcomes[i] = True
+    assert _digest(outcomes) == REPLAY_DIGEST_RECURSIVE
+
+
+def test_a_deep_witness_replays():
+    # one witness entry per step up to 1501; the replay walks 2,000 steps
+    m = one_agent_loop([("pay", 1)])
+    c0 = Configuration("s", (F(0),))
+    f = fml(m, "<<a>>(true U v_a > 1500)")
+    v = check_bounded(m, c0, f, budget=Budget(2000))
+    assert (v.value, v.bound_used) == (True, 2000)
+    assert replay_strategy_table(m, c0, f, v.witness, ML_CONFIG, 2000) is True
+
+
+@pytest.mark.parametrize(
+    "text, depth, verdict, traces",
+    [
+        # 269 sweeps are refuted on the way to a True verdict
+        ("<<I,II>>(true U (p1 & v_I > 100 & v_II > 100))", 120, True, 0),
+        # 59 sweeps are refuted over all horizons; the last one reports 33
+        ("<<I>> G (p1 | v_I > 0)", 150, False, 33),
+    ],
+)
+def test_traces_are_built_only_for_reported_refutations(fig1, monkeypatch, text, depth, verdict,
+                                                         traces):
+    built = []
+    trace = checker._trace
+    monkeypatch.setattr(checker, "_trace", lambda *args: built.append(1) or trace(*args))
+    v = check_bounded(fig1, Configuration("s1", (F(0), F(0))), fml(fig1, text),
+                      ML_CONFIG, ML_CONFIG, Budget(depth))
+    assert v.value is verdict
+    assert len(built) == traces == len(v.counterexample or [])
 
 
 class TestPlaysThatStop:
