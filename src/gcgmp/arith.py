@@ -10,9 +10,9 @@ The vocabulary here is shared by the whole package:
 * a *path constraint* compares the long-run value ``w_<agent>`` of a play
   against a rational bound.
 
-All arithmetic is exact (`fractions.Fraction`); nothing in this module ever
-touches floats.  The grammar, shared with model files and the strategy-logic
-parser, is::
+All arithmetic is on exact rationals: ``int`` when integral, else
+`fractions.Fraction` (see ``exact``); nothing here ever touches floats.  The
+grammar, shared with model files and the strategy-logic parser, is::
 
     term     := atom ('+' atom)*
     atom     := VAR | RATIONAL
@@ -146,22 +146,30 @@ class PathConstraint:
             raise ValueError(f"unknown relation {self.rel!r}")
 
 
-Valuation = Mapping[str, Fraction]
+Rational = Union[int, Fraction]  # exact; an int when integral
+Valuation = Mapping[str, Rational]
 
 
 # --- evaluation -------------------------------------------------------------
 
 
-def eval_term(t: Term, v: Valuation) -> Fraction:
+def exact(q) -> Rational:
+    """``q`` as an exact rational: ``int`` when integral, else ``Fraction``.
+    Both compare and hash alike, but ``int`` arithmetic runs in C."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def eval_term(t: Term, v: Valuation) -> Rational:
     """Exact value of ``t`` under ``v``; raises UnboundVariable on a gap."""
-    total = Fraction(0)
+    total = 0
     for s in t.summands:
         if isinstance(s, UtilityVar):
             if s.agent not in v:
                 raise UnboundVariable(s.agent)
             total += v[s.agent]
         else:
-            total += s
+            total += s.numerator if s.denominator == 1 else s
     return total
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import _REL_FN, PathConstraint, eval_atom, normalize_atom
+from .arith import _REL_FN, PathConstraint, eval_atom, exact, normalize_atom
 from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
 from .errors import (
     FragmentError,
@@ -327,14 +327,14 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
         if u < 0:
             raise NotMonotone(f"start utility {u} for agent {a!r} is negative")
 
-    cap = saturation_cap(m, f)
+    cap = exact(saturation_cap(m, f))
 
     def clamp(c: Configuration) -> Configuration:
         return Configuration(c.state, tuple(min(u, cap) for u in c.utilities))
 
     # breadth-first closure of the clamped configuration graph, keeping each
     # node's guard-enabled actions per agent
-    root = clamp(c0)
+    root = clamp(Configuration(c0.state, tuple(map(exact, c0.utilities))))
     cache: dict = {}
     pools = {root: enabled_pools(m, root, cache)}
     succ: dict[tuple, Configuration] = {}
@@ -777,7 +777,13 @@ class _CoopSolver:
                     push = tau_memoryless and committed is None
                     top = (top, c, l, machine, consulted, move, tau_key, push, responses, 0, False)
                 else:
-                    v = True  # opponents are stuck: nothing to refute
+                    # opponents are stuck: the play ends here, and its prefix
+                    # is valued with a true future, as _Literal.value does
+                    v = True
+                    if machine[0] == "G":
+                        v = machine[2]
+                    elif machine[0] == "U":
+                        v = k_or(machine[3], machine[4])
 
             # -- report resolved nodes upwards, then descend into the next child
             while v is not _OPEN:
@@ -838,9 +844,12 @@ def _eval_interned(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
+    # a definite value holds at every horizon, an unknown one only at its
+    # own: the search at a horizon is deterministic, and a budget stop raises
+    if (key, depth) in ctx.memo:
+        return None
     value = _eval_state_raw(ctx, g, c, l, depth)
-    if value is not None:
-        ctx.memo[key] = value
+    ctx.memo[key if value is not None else (key, depth)] = value
     return value
 
 
@@ -896,7 +905,7 @@ def check_bounded(
     _check_supported(f)
     ctx = _Ctx(m, sp, so, budget)
     f = ctx.formula(f)
-    c0 = ctx.intern(c0)
+    c0 = ctx.intern(Configuration(c0.state, tuple(map(exact, c0.utilities))))
     rungs = _ladder(budget.depth)
     i = 0
     while i < len(rungs):

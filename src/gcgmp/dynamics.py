@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import eval_acf
+from .arith import Rational, eval_acf, exact
 from .errors import (
     Divergent,
     GuardViolation,
@@ -39,11 +39,12 @@ from .model import Gcgmp, Profile, ValueSemantics
 @dataclass(frozen=True)
 class Configuration:
     state: str
-    utilities: tuple[Fraction, ...]  # one per agent, in model agent order
+    # one per agent, in model agent order; exact rationals: int when integral, else Fraction
+    utilities: tuple[Rational, ...]
 
     def __hash__(self):
         # configurations are hashed constantly as search keys, and hashing
-        # a tuple of Fractions is not cheap, so compute once
+        # a tuple of rationals is not free, so compute once
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.state, self.utilities))
@@ -55,9 +56,9 @@ def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:
     if state not in m.states:
         raise InvalidState(state)
     if utilities is None:
-        utilities = (Fraction(0),) * len(m.agents)
+        utilities = (0,) * len(m.agents)
     else:
-        utilities = tuple(Fraction(u) for u in utilities)
+        utilities = tuple(map(exact, utilities))
         if len(utilities) != len(m.agents):
             raise ValueError(
                 f"expected {len(m.agents)} utilities, got {len(utilities)}"

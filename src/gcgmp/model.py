@@ -46,7 +46,7 @@ from importlib import resources
 from typing import Iterator, Mapping
 
 from . import arith
-from .arith import ACF_TRUE, ConstraintFormula, eval_acf
+from .arith import ACF_TRUE, ConstraintFormula, Rational, eval_acf, exact
 from .errors import InvalidState, ParseError, UnknownAgent, UnknownIdentifier
 
 Profile = tuple[str, ...]
@@ -67,7 +67,8 @@ class Gcgmp:
     actions: Mapping[str, tuple[str, ...]]
     available: Mapping[tuple[str, str], tuple[str, ...]]  # (agent, state)
     transitions: Mapping[tuple[str, Profile], str]
-    payoffs: Mapping[tuple[str, Profile], tuple[Fraction, ...]]
+    # exact rationals: int when integral, else Fraction
+    payoffs: Mapping[tuple[str, Profile], tuple[Rational, ...]]
     atoms: tuple[str, ...]
     labels: Mapping[str, frozenset[str]]
     guards: Mapping[tuple[str, str, str], ConstraintFormula]  # (agent, state, action)
@@ -108,7 +109,7 @@ class Gcgmp:
     def guard_of(self, agent: str, state: str, action: str) -> ConstraintFormula:
         return self.guards.get((agent, state, action), ACF_TRUE)
 
-    def payoff_of(self, agent: str, state: str, profile: Profile) -> Fraction:
+    def payoff_of(self, agent: str, state: str, profile: Profile) -> Rational:
         return self.payoffs[(state, profile)][self.agent_index(agent)]
 
     def label_of(self, state: str) -> frozenset[str]:
@@ -120,7 +121,7 @@ class Gcgmp:
         pools = [self.available_of(a, state) for a in self.agents]
         return itertools.product(*pools)
 
-    def enabled_actions(self, agent: str, state: str, utility: Fraction) -> tuple[str, ...]:
+    def enabled_actions(self, agent: str, state: str, utility: Rational) -> tuple[str, ...]:
         """Available actions whose guard accepts the agent's current utility."""
         val = {agent: utility}
         return tuple(
@@ -387,14 +388,14 @@ def _load_transitions(agents, table) -> dict[tuple[str, Profile], str]:
     return transitions
 
 
-def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Fraction, ...]]:
+def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Rational, ...]]:
     payoffs = {}
     if not _is_rows(table):
         for s, prof, vec in _per_profile(agents, table, "payoffs"):
             where = f"payoff at {s!r}/{','.join(prof)}"
             if not isinstance(vec, (list, tuple)):
                 raise ParseError(f"{where}: expected a list of rationals")
-            payoffs[(s, prof)] = tuple(_rational(x, where) for x in vec)
+            payoffs[(s, prof)] = tuple(exact(_rational(x, where)) for x in vec)
         return payoffs
     for row in table:
         s = _field(row, "state", "payoff")
@@ -406,7 +407,9 @@ def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Fraction, ..
             raise UnknownIdentifier(
                 f"{where} has values for undeclared agents: {', '.join(extra)}"
             )
-        payoffs[(s, prof)] = tuple(_rational(values[a], where) for a in agents if a in values)
+        payoffs[(s, prof)] = tuple(
+            exact(_rational(values[a], where)) for a in agents if a in values
+        )
     return payoffs
 
 

@@ -1127,14 +1127,18 @@ def test_bounded_reports_are_pinned_on_a_population():
 # replay's verdict on a wrong table may not drift either.  The node budget
 # only keeps the slowest searches of the population short.
 #
-# The recursive replay this one replaced gave REPLAY_DIGEST_RECURSIVE, and
-# differed only in the three replays of STUCK_AFTER_UNKNOWN, which it
-# accepted: on `<<a>> G (<<>> G (v_a < 3))` (pr-state against ml-config) the
-# opponent is stuck after three positions where the nested value is
-# unknown.  That prefix values G as unknown, not true, on the literal
-# checker; the first of the three is the engine's own witness.
-REPLAY_DIGEST = "0519fbb0313a230b71ad3139b51c62f75c7511428c5367e3c9c31b6548501f44"
+# Until the bounded engine valued a prefix whose opponents are stuck as the
+# literal checker does, it also gave a True witness for instance 2361,
+# `<<a>> G (<<>> G (v_a < 3))` (pr-state against ml-config), where the
+# opponent is stuck after three positions whose nested value is unknown.
+# Its 9 replays, the witness and 8 mutants, sat at STUCK_WITNESS_AT and all
+# failed; with them the digest was REPLAY_DIGEST_WITH_STUCK.  The recursive
+# replay before the literal checker gave REPLAY_DIGEST_RECURSIVE on that
+# sequence: it accepted the three replays of STUCK_AFTER_UNKNOWN too.
+REPLAY_DIGEST = "f8074bbd216e8fbf4be246a247f407974e8462106b4831f1846de511c57006bf"
+REPLAY_DIGEST_WITH_STUCK = "0519fbb0313a230b71ad3139b51c62f75c7511428c5367e3c9c31b6548501f44"
 REPLAY_DIGEST_RECURSIVE = "b32a94b490f3b4cef03b2ca80fbe2acb6f51caeb85a9793611204f6f56045b52"
+STUCK_WITNESS_AT = 629
 STUCK_AFTER_UNKNOWN = (629, 630, 636)
 
 
@@ -1174,12 +1178,77 @@ def _digest(outcomes) -> str:
 
 def test_witness_replays_are_pinned_on_a_population():
     outcomes = _replay_population_outcomes()
-    assert len(outcomes) == 641 and outcomes.count(True) == 351
+    assert len(outcomes) == 632 and outcomes.count(True) == 351
     assert _digest(outcomes) == REPLAY_DIGEST
-    assert not any(outcomes[i] for i in STUCK_AFTER_UNKNOWN)
+    outcomes[STUCK_WITNESS_AT:STUCK_WITNESS_AT] = [False] * 9
+    assert _digest(outcomes) == REPLAY_DIGEST_WITH_STUCK
     for i in STUCK_AFTER_UNKNOWN:
         outcomes[i] = True
     assert _digest(outcomes) == REPLAY_DIGEST_RECURSIVE
+
+
+# instance 2361 of the replay population: b has one action, and its guard
+# at s1 fails once v_b < 0, which ends every play there
+STUCK_DOC = {
+    "agents": ["a", "b"], "states": ["s0", "s1"],
+    "actions": {"a": ["x", "y"], "b": ["x"]},
+    "transitions": {"s0": {"x,x": "s1", "y,x": "s1"}, "s1": {"x,x": "s0", "y,x": "s0"}},
+    "payoffs": {"s0": {"x,x": ["2", "1"], "y,x": ["-2", "0"]},
+                "s1": {"x,x": ["-1", "-2"], "y,x": ["2", "-1"]}},
+    "labels": {"s0": ["p", "q"], "s1": ["q"]},
+    "guards": {"a": {"s0": {"y": "v_a <= 3"}}, "b": {"s1": {"x": "v_b >= 0"}}},
+    "discounts": {"a": "1/2", "b": "1"},
+}
+
+
+@pytest.mark.parametrize("text", [
+    "<<a>>G (<<>>G (v_a < 3))",
+    "<<a>>((<<>>G (v_a < 3)) U !true)",
+    "<<a>>((<<>>G (v_a < 3)) U (v_b < 0))",
+    "<<a>>X (<<>>G (v_a < 3))",
+])
+@pytest.mark.parametrize("sp", [PR_STATE, ML_CONFIG], ids=["pr-state", "ml-config"])
+def test_stuck_opponents_keep_the_prefix_value(text, sp):
+    # the nested value is unknown at every position before the opponent is
+    # stuck, so G and U stay unknown there instead of holding; the engine
+    # used to answer true for both
+    m = model_from_dict(STUCK_DOC)
+    c0 = Configuration("s0", (0, 0))
+    f = fml(m, text)
+    v = check_bounded(m, c0, f, sp, ML_CONFIG, Budget(4))
+    assert v.value is None
+    assert enumerate_oracle(m, c0, f, sp, ML_CONFIG, 4).value is None
+
+
+def test_unknown_nested_values_are_solved_once_per_horizon(monkeypatch):
+    # instance 312 of the replay population: the nested <<a>>U is unknown at
+    # some configurations, and was solved again at each consultation
+    m = model_from_dict({
+        "agents": ["a", "b"], "states": ["s0", "s1", "s2"],
+        "actions": {"a": ["x"], "b": ["x", "y"]},
+        "transitions": {"s0": {"x,x": "s1", "x,y": "s2"}, "s1": {"x,x": "s2", "x,y": "s0"},
+                        "s2": {"x,x": "s2", "x,y": "s2"}},
+        "payoffs": {"s0": {"x,x": ["0", "0"], "x,y": ["0", "1"]},
+                    "s1": {"x,x": ["0", "1"], "x,y": ["1", "1"]},
+                    "s2": {"x,x": ["0", "2"], "x,y": ["0", "2"]}},
+        "labels": {"s0": ["p"], "s1": ["p"], "s2": ["q"]},
+        "guards": {"a": {"s0": {"x": "v_a <= 3"}, "s1": {"x": "v_a <= 3"}},
+                   "b": {"s0": {"x": "v_b >= 0"}, "s2": {"x": "v_b >= 0", "y": "v_b <= 3"}}},
+        "discounts": {"a": "1/2", "b": "1"},
+    })
+    solved = []
+    solve = checker._CoopSolver.solve
+
+    def counting(self):
+        solved.append((self.coop, self.c0, self.l0, self.depth))
+        return solve(self)
+
+    monkeypatch.setattr(checker._CoopSolver, "solve", counting)
+    f = fml(m, "<<b>>((<<a>>((v_b > 2) U (v_b <= 3))) U (v_a >= 2))")
+    v = check_bounded(m, Configuration("s0", (0, 0)), f, PR_CONFIG, PR_CONFIG, Budget(3))
+    assert (v.value, v.bound_used) == (None, 3)
+    # horizons 2 and 3; solving each unknown again took 15 solves
+    assert len(solved) == len(set(solved)) == 12
 
 
 def test_a_deep_witness_replays():

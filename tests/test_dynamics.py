@@ -1,9 +1,12 @@
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from test_checker import random_model, random_state_formula
 
+from gcgmp import checker
 from gcgmp.dynamics import (
     Configuration,
     History,
@@ -23,13 +26,15 @@ from gcgmp.dynamics import (
 )
 from gcgmp.errors import (
     Divergent,
+    GcgmpError,
     GuardViolation,
     IndexOutOfRange,
     InvalidState,
     NotLasso,
     UndiscountedDiscounted,
 )
-from gcgmp.model import builtin_fig1, model_from_dict
+from gcgmp.logic import bind_formula, parse_formula
+from gcgmp.model import ValueSemantics, builtin_fig1, model_from_dict, model_to_dict, validate
 
 
 def loop_doc(pay="1", discount="1", semantics="mean"):
@@ -378,3 +383,142 @@ class TestExplore:
         assert 'label="s1 | 2,2", style=dashed' in dot
         assert '[label="C,C"]' in dot
         assert dot.count(" -> ") == len(r.edges)
+
+
+# --- exact rationals -----------------------------------------------------------
+
+
+def _exact_population(seed, count):
+    """Seeded ``random_model`` games read through the loader, with integral or
+    half-integral payoffs, each agent's discount 1, 0 or 1/2 (every third game
+    undiscounted, so saturation applies to some), and start utilities.  Each
+    comes with a twin whose payoffs are all ``Fraction``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        doc = model_to_dict(random_model(rng, rng.random() < 0.5))
+        if rng.random() < 0.5:
+            doc["payoffs"] = {
+                s: {p: [str(F(x) / 2) for x in vec] for p, vec in row.items()}
+                for s, row in doc["payoffs"].items()
+            }
+        undiscounted = len(out) % 3 == 0
+        doc["discounts"] = {a: "1" if undiscounted else rng.choice(["1", "0", "1/2"])
+                            for a in doc["agents"]}
+        m = model_from_dict(doc)
+        if validate(m):
+            continue
+        twin = replace(m, payoffs={k: tuple(map(F, v)) for k, v in m.payoffs.items()})
+        start = [F(rng.choice(["0", "2", "3/2", "-1"])) for _ in m.agents]
+        out.append((rng, m, twin, start))
+    return out
+
+
+def _exact(values) -> bool:
+    # int or Fraction, never a float or a bool (type(True) is bool)
+    return all(type(u) in (int, F) for u in values)
+
+
+def _integral_run(m, start) -> bool:
+    """Whether every utility of a run from ``start`` is integral: integral
+    payoffs and start, and no discount strictly between 0 and 1."""
+    return (not m.step_indexed and all(u.denominator == 1 for u in start)
+            and all(p.denominator == 1 for vec in m.payoffs.values() for p in vec))
+
+
+class TestExactRationals:
+    """Payoffs and utilities stay exact rationals, kept as ``int`` when
+    integral, and every value equals the one reached from ``Fraction`` inputs."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_explored_utilities(self, seed):
+        ints = 0
+        for _, m, twin, start in _exact_population(seed, 40):
+            s0 = m.states[0]
+            assert _exact(initial_config(m, s0).utilities)
+            assert all(type(u) is int for u in initial_config(m, s0).utilities)
+            c0 = initial_config(m, s0, start)
+            assert _exact(c0.utilities)
+            assert all(type(u) is int for u in c0.utilities if u.denominator == 1)
+            r = explore(m, c0, 5)
+            ref = explore(twin, Configuration(s0, tuple(start)), 5)
+            assert r.nodes == ref.nodes and r.edges == ref.edges
+            configs = [k[0] if r.step_indexed else k for k in r.nodes]
+            assert all(_exact(c.utilities) for c in configs)
+            if _integral_run(m, start):
+                ints += 1
+                assert all(type(u) is int for c in configs for u in c.utilities)
+        assert ints >= 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_play_values(self, seed):
+        semantics = list(ValueSemantics)
+        for rng, m, twin, start in _exact_population(seed, 40):
+            c0 = initial_config(m, m.states[0], start)
+            profiles = []
+            c = c0
+            for _ in range(6):
+                enabled = sorted(enabled_profiles(m, c))
+                if not enabled:
+                    break
+                profiles.append(rng.choice(enabled))
+                c = step(m, c, profiles[-1], len(profiles))
+            h = run_profiles(m, c0, profiles)
+            h_ref = run_profiles(twin, Configuration(c0.state, tuple(start)), profiles)
+            assert h.configs == h_ref.configs
+            assert all(_exact(c.utilities) for c in h.configs)
+            if _integral_run(m, start):
+                assert all(type(u) is int for c in h.configs for u in c.utilities)
+            n = len(profiles)
+            for j in range(n):
+                if h.configs[j].state != h.configs[n].state:
+                    continue
+                for sem in semantics:
+                    for a in m.agents:
+                        got, want = (
+                            _value_or_error(replace(g, value_semantics=sem), from_history(x, j), a)
+                            for g, x in ((m, h), (twin, h_ref))
+                        )
+                        assert got == want
+                        if not isinstance(got, type):
+                            assert _exact([got])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_saturated_clamp(self, seed, monkeypatch):
+        seen = []
+        pools = checker.enabled_pools
+
+        def recording(m, c, cache):
+            seen.append(c)
+            return pools(m, c, cache)
+
+        monkeypatch.setattr(checker, "enabled_pools", recording)
+        applied = 0
+        for rng, m, twin, start in _exact_population(seed, 40):
+            text = random_state_formula(rng, 2)
+            try:
+                f = bind_formula(m, parse_formula(text))
+            except GcgmpError:
+                continue
+            # both from Fraction start utilities, as library callers pass them
+            c0 = Configuration(m.states[0], tuple(start))
+            runs = []
+            for g in (m, twin):
+                seen.clear()
+                try:
+                    runs.append((checker.check_saturated(g, c0, f).value, list(seen)))
+                except GcgmpError as e:
+                    runs.append((type(e), []))
+            assert runs[0] == runs[1]
+            applied += bool(runs[0][1])
+            assert all(_exact(c.utilities) for c in runs[0][1])
+            if _integral_run(m, start):
+                assert all(type(u) is int for c in runs[0][1] for u in c.utilities)
+        assert applied >= 3
+
+
+def _value_or_error(m, play, agent):
+    try:
+        return play_value(m, play, agent)
+    except GcgmpError as e:
+        return type(e)
