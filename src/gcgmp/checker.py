@@ -186,25 +186,28 @@ def _cpre(agents, coalition, nodes, pools_of, succ_of, targets: frozenset) -> fr
     opponent has an action the coalition wins vacuously; when a member has
     none it loses.
     """
-    members = [a for a in agents if a in coalition]
-    others = [a for a in agents if a not in coalition]
+    mi, oi, weave = _split(agents, coalition)
     out = set()
     for n in nodes:
-        pool = dict(zip(agents, pools_of(n)))
-        for mv in itertools.product(*(pool[a] for a in members)):
-            if all(
-                succ_of(n, _weave(agents, members, mv, others, ov)) in targets
-                for ov in itertools.product(*(pool[a] for a in others))
-            ):
+        pools = pools_of(n)
+        responses = list(itertools.product(*[pools[i] for i in oi]))
+        for mv in itertools.product(*[pools[i] for i in mi]):
+            if all(succ_of(n, weave(mv + ov)) in targets for ov in responses):
                 out.add(n)
                 break
     return frozenset(out)
 
 
-def _weave(agents, members, mv, others, ov):
-    by_agent = dict(zip(members, mv))
-    by_agent.update(zip(others, ov))
-    return tuple(by_agent[a] for a in agents)
+def _split(agents, coalition) -> tuple:
+    """Agent positions of the coalition members and of the others, and the
+    weaver that turns a joint move followed by a response, ``move + resp``,
+    into a profile in agent order."""
+    mi = [i for i, a in enumerate(agents) if a in coalition]
+    oi = [i for i, a in enumerate(agents) if a not in coalition]
+    if not (mi and oi):
+        return mi, oi, tuple  # one side is empty: already in agent order
+    order = sorted(range(len(agents)), key=(mi + oi).__getitem__)
+    return mi, oi, operator.itemgetter(*order)
 
 
 def _fixpoint(f: Formula, every: frozenset, leaf, pre) -> frozenset:
@@ -551,15 +554,8 @@ class _CoopSolver:
         self.c0 = c0
         self.l0 = l0
         self.depth = depth
-        m = ctx.m
-        self.members = [a for a in m.agents if a in coop.coalition]
-        self.others = [a for a in m.agents if a not in coop.coalition]
-        # agent positions of members and others, and a profile from move + resp
-        self.mi = [i for i, a in enumerate(m.agents) if a in coop.coalition]
-        self.oi = [i for i, a in enumerate(m.agents) if a not in coop.coalition]
-        if self.members and self.others:
-            order = sorted(range(len(m.agents)), key=(self.mi + self.oi).__getitem__)
-            self.weave = operator.itemgetter(*order)
+        self.mi, self.oi, self.weave = _split(ctx.m.agents, coop.coalition)
+        self.members = [ctx.m.agents[i] for i in self.mi]
         self.machine0 = _body_machine(coop.body)
         self.points: list[_Point] = []
         self.index: dict = {}
@@ -686,9 +682,8 @@ class _CoopSolver:
         the refuted path as (configurations, profiles, loop index).
         """
         ctx = self.ctx
-        depth, members, others = self.depth, self.members, self.others
-        weave = getattr(self, "weave", None)
-        tau_memoryless = bool(others) and ctx.so.memory is StrategyMemory.MEMORYLESS
+        depth, members, oi, weave = self.depth, self.members, self.oi, self.weave
+        tau_memoryless = bool(oi) and ctx.so.memory is StrategyMemory.MEMORYLESS
         fold = start is None  # a resumed node was entered by the last sweep
         root = (-1, None, self.c0, self.l0, self.machine0, frozenset(), 0, (self.c0,), (), {})
         _, top, c, l, machine, consulted, n, configs, profiles, taus = start or root
@@ -765,11 +760,11 @@ class _CoopSolver:
                 if invalid:
                     return refuted()
                 pools = ctx.pools(c)
-                tau_key = _search_key(ctx.so, path_configs) if others else None
-                committed = tau_store.get(tau_key) if others else None
+                tau_key = _search_key(ctx.so, path_configs) if oi else None
+                committed = tau_store.get(tau_key) if oi else None
                 if committed is None:
-                    responses = list(itertools.product(*[pools[i] for i in self.oi]))
-                elif all(act in pools[i] for i, act in zip(self.oi, committed)):
+                    responses = list(itertools.product(*[pools[i] for i in oi]))
+                elif all(act in pools[i] for i, act in zip(oi, committed)):
                     responses = [committed]
                 else:
                     responses = []  # the committed opponent action is no longer legal
@@ -800,7 +795,7 @@ class _CoopSolver:
                 top = top[0]
             _, c, l, machine, consulted, move, tau_key, push, responses, i, unknown = top
             resp = responses[i]
-            prof = resp if not members else weave(move + resp) if others else move
+            prof = weave(move + resp)
             top = top[:9] + (i + 1, unknown)
             if push:
                 tau_store[tau_key] = resp
@@ -955,10 +950,11 @@ class _Literal:
 
     ``eval_sf(g, c, l)`` values a state formula at a configuration and step
     index; ``spend()`` is called once per node entered.  Three caches serve
-    every node of one check, and only memoise: enabled sets on (agent,
-    state, own utility), guarded ``step`` results on (configuration,
-    profile, step index) and interned configurations, so lassos close on
-    identity.
+    every node of one check, and only memoise: interned configurations, so
+    that each configuration a walk holds is one object and lassos close on
+    identity; guarded ``step`` results on (``id`` of the interned
+    configuration, profile, step index); and enabled sets on (agent
+    position, state, own utility), read at the positions ``_split`` gives.
     """
 
     def __init__(self, m: Gcgmp, so: StrategyClassSpec, depth: int, eval_sf, spend):
@@ -971,18 +967,20 @@ class _Literal:
         self.steps: dict = {}
         self.interned: dict = {}
 
-    def enabled(self, c: Configuration, a: str):
-        key = (a, c.state, c.utilities[self.m.agent_index(a)])
-        if key not in self.enabled_sets:
-            self.enabled_sets[key] = self.m.enabled_actions(*key)
-        return self.enabled_sets[key]
+    def enabled(self, c: Configuration, i: int):
+        key = (i, c.state, c.utilities[i])
+        hit = self.enabled_sets.get(key)
+        if hit is None:
+            hit = self.enabled_sets[key] = self.m.enabled_actions(self.m.agents[i], *key[1:])
+        return hit
 
     def step(self, c: Configuration, prof: tuple, l: int) -> Configuration:
-        key = (c, prof, l)
-        if key not in self.steps:
+        key = (id(c), prof, l)
+        hit = self.steps.get(key)
+        if hit is None:
             c2 = step(self.m, c, prof, l)
-            self.steps[key] = self.interned.setdefault(c2, c2)
-        return self.steps[key]
+            hit = self.steps[key] = self.interned.setdefault(c2, c2)
+        return hit
 
     def plays(self, coop: Coop, croot: Configuration, l0: int, move_of) -> list:
         """Every outcome play from ``croot`` at step index ``l0``, across all
@@ -994,10 +992,10 @@ class _Literal:
         stack, so plays of any length fit, and each child is stepped just
         before it is entered, so ``step`` and ``spend()`` run depth first.
         """
-        m = self.m
-        members = [a for a in m.agents if a in coop.coalition]
-        others = [a for a in m.agents if a not in coop.coalition]
-        commits = bool(others) and self.so.memory is StrategyMemory.MEMORYLESS
+        m, so, depth, enabled, spend = self.m, self.so, self.depth, self.enabled, self.spend
+        mi, oi, weave = _split(m.agents, coop.coalition)
+        commits = bool(oi) and so.memory is StrategyMemory.MEMORYLESS
+        closes = m.lassos_close
         out = []
         # (parent configs, parent profiles, opponent commitments, profile taken)
         stack = [([], [], {}, None)]
@@ -1009,36 +1007,35 @@ class _Literal:
                 c = self.step(configs[-1], prof, l0 + len(profiles))
                 profiles = profiles + [prof]
             configs = configs + [c]
-            self.spend()
+            spend()
             pos = len(profiles)
             loop = None
-            if m.lassos_close:
+            if closes:
                 for j in range(pos):
                     if configs[j] is c:
                         loop = j
                         break
-            if loop is not None or pos >= self.depth:
+            if loop is not None or pos >= depth:
                 out.append((configs, profiles, loop, None))
                 continue
-            move = move_of(configs) if members else ()
-            if move is None or any(act not in self.enabled(c, a) for a, act in zip(members, move)):
+            move = move_of(configs) if mi else ()
+            if move is None or any(act not in enabled(c, i) for i, act in zip(mi, move)):
                 out.append((configs, profiles, None, False))
                 continue
-            tkey = _strategy_key(self.so, configs) if others else None
-            committed = tau.get(tkey) if others else None
+            tkey = _strategy_key(so, configs) if oi else None
+            committed = tau.get(tkey) if oi else None
             if committed is None:
-                responses = list(itertools.product(*[self.enabled(c, a) for a in others]))
-            elif all(act in self.enabled(c, a) for a, act in zip(others, committed)):
+                responses = list(itertools.product(*[enabled(c, i) for i in oi]))
+            elif all(act in enabled(c, i) for i, act in zip(oi, committed)):
                 responses = [committed]
             else:
                 responses = []  # a dead commitment
-            if others and not responses:
+            if oi and not responses:
                 out.append((configs, profiles, None, True))  # nothing to refute
                 continue
             for resp in reversed(responses):
                 child_tau = {**tau, tkey: resp} if commits and committed is None else tau
-                prof = _weave(m.agents, members, move, others, resp)
-                stack.append((configs, profiles, child_tau, prof))
+                stack.append((configs, profiles, child_tau, weave(move + resp)))
         return out
 
     def value(self, body, configs, profiles, loop, l0, sp_pr, cut) -> Vb:
@@ -1116,6 +1113,7 @@ def replay_strategy_table(
     of the search that produced them."""
     ctx = _Ctx(m, table.spec, so, Budget(depth))
     members = [a for a in m.agents if a in f.coalition]
+    c0 = Configuration(c0.state, tuple(map(exact, c0.utilities)))
 
     def move_of(configs):
         key = _obs_str(_strategy_key(table.spec, configs))
@@ -1152,6 +1150,7 @@ def enumerate_oracle(
     checker that witness replay shares.  No pruning, no deepening, no
     backjumping — just the definitions.  One enumeration may enter 60,000
     nodes over all its tables and modalities; past that it is TooLarge.
+    The root's utilities go through ``arith.exact``, as in the engines.
     """
     if len(m.states) > 4:
         raise TooLarge(f"{len(m.states)} states is beyond the oracle's scale")
@@ -1161,6 +1160,7 @@ def enumerate_oracle(
     if depth > 8:
         raise TooLarge(f"depth {depth} is beyond the oracle's scale")
     _check_supported(f)
+    c0 = Configuration(c0.state, tuple(map(exact, c0.utilities)))
     memo: dict = {}
     entered = itertools.count(1)
 
@@ -1170,10 +1170,11 @@ def enumerate_oracle(
 
     def eval_sf(g, c, l) -> Vb:
         key = (g, c, l if m.step_indexed else None)
-        if key in memo:
-            return memo[key]
+        v = memo.get(key)
+        if v is not None:
+            return v
         if isinstance(g, Tru):
-            v: Vb = True
+            v = True
         elif isinstance(g, Prop):
             v = g.name in m.label_of(c.state)
         elif isinstance(g, Constraint):
@@ -1194,8 +1195,8 @@ def enumerate_oracle(
 
     def solve(coop: Coop, croot: Configuration, l0: int) -> Vb:
         body = _body_machine(coop.body)
-        members = [a for a in m.agents if a in coop.coalition]
-        sp_pr = bool(members) and sp.memory is StrategyMemory.PERFECT_RECALL
+        mi = [i for i, a in enumerate(m.agents) if a in coop.coalition]
+        sp_pr = bool(mi) and sp.memory is StrategyMemory.PERFECT_RECALL
 
         # chronological enumeration of proponent tables over consulted keys
         sigma: dict = {}
@@ -1232,13 +1233,11 @@ def enumerate_oracle(
                 key = e.args[0]
                 # the last observation: a bare state or a configuration
                 last = key if isinstance(key, (str, Configuration)) else key[-1]
-                if isinstance(last, Configuration):
-                    pools = [lit.enabled(last, a) for a in members]
-                else:
-                    pools = [m.available_of(a, last) for a in members]
+                pools = ([lit.enabled(last, i) for i in mi] if isinstance(last, Configuration)
+                         else [m.available_of(m.agents[i], last) for i in mi])
                 options = list(itertools.product(*pools))
                 if not options:
-                    options = [tuple("?" for _ in members)]  # always invalid
+                    options = [tuple("?" for _ in mi)]  # always invalid
                 sigma[key] = options[0]
                 alts[key] = options
                 order.append(key)

@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import arith
 from .arith import ACF_TRUE, ConstraintFormula, Rational, eval_acf, exact
@@ -166,8 +168,7 @@ def validate(m: Gcgmp) -> list[Violation]:
     if not m.states:
         bad("no-states", (), "a model needs at least one state")
     for name, seq in [("agent", m.agents), ("state", m.states), ("atom", m.atoms)]:
-        dups = {x for x in seq if seq.count(x) > 1}
-        for x in sorted(dups):
+        for x in sorted(x for x, k in Counter(seq).items() if k > 1):
             bad(f"duplicate-{name}", (x,), f"{name} {x!r} declared more than once")
 
     for a in m.agents:
@@ -444,7 +445,7 @@ def model_from_dict(doc: dict) -> Gcgmp:
     agents = _names(doc.get("agents", ()), "agents")
     states = _names(doc.get("states", ()), "states")
     for kind, seq in (("agent", agents), ("state", states)):
-        dup = sorted({x for x in seq if seq.count(x) > 1})
+        dup = sorted(x for x, k in Counter(seq).items() if k > 1)
         if dup:
             raise ParseError(f"duplicate {kind} id: {', '.join(dup)}")
     actions = {

@@ -48,7 +48,7 @@ from gcgmp.logic import (
     bind_formula,
     parse_formula,
 )
-from gcgmp.model import builtin_fig1, model_from_dict, validate
+from gcgmp.model import Gcgmp, builtin_fig1, model_from_dict, validate
 
 
 def mk(d):
@@ -1025,6 +1025,60 @@ class TestEngineAgreement:
             assert enumerate_oracle(m, c0, f, depth=4).value is want, text
 
 
+class TestCoalitionAroundAnOpponent:
+    # three agents with the same two actions, so a profile woven in the wrong
+    # order is still a legal profile.  From s the play goes to t (labelled q,
+    # paying c 1) exactly when a plays x and c plays y; c's y needs v_c <= 0.
+    # The coalition {a, c} has b between its members, and the coalition {b}
+    # sits between its opponents.  Were a joint move and a response laid side
+    # by side instead of woven into agent order, each verdict below would
+    # flip, or the guarded step would refuse the profile as c's y at v_c = 1.
+    @staticmethod
+    def model():
+        profiles = [",".join(p) for p in itertools.product("xy", repeat=3)]
+        return mk({
+            "agents": ["a", "b", "c"],
+            "states": ["s", "t"],
+            "actions": {ag: ["x", "y"] for ag in "abc"},
+            "transitions": {"s": {p: "t" if p[0] + p[4] == "xy" else "s" for p in profiles},
+                            "t": {p: "s" for p in profiles}},
+            "payoffs": {"s": {p: ["0", "0", "1" if p[0] + p[4] == "xy" else "0"]
+                              for p in profiles},
+                        "t": {p: ["0", "0", "0"] for p in profiles}},
+            "labels": {"t": ["q"]},
+            "guards": {"c": {"s": {"y": "v_c <= 0"}}},
+        })
+
+    def test_state_graph(self):
+        m = self.model()
+        assert pre_states(m, frozenset("ac"), frozenset({"t"})) == {"s"}
+        assert pre_states(m, frozenset("b"), frozenset({"s"})) == {"t"}
+        assert check_atl(m, fml(m, "<<a,c>> X q")) == {"s"}
+        assert check_atl(m, fml(m, "<<a,c>> (true U q)")) == {"s", "t"}
+        assert check_atl(m, fml(m, "<<b>> G !q")) == set()
+
+    @pytest.mark.parametrize("text, want", [
+        ("<<a,c>> X q", True),
+        ("<<a,c>> (true U v_c >= 1)", True),
+        ("<<b>> G !q", False),
+        ("<<b>> X !q", False),
+    ])
+    def test_every_engine(self, text, want):
+        m = self.model()
+        c0 = Configuration("s", (F(0), F(0), F(0)))
+        f = fml(m, text)
+        assert check_saturated(m, c0, f).value is want
+        assert enumerate_oracle(m, c0, f, depth=4).value is want
+        v = check_bounded(m, c0, f, budget=Budget(4))
+        assert v.value is want
+        if want:
+            assert replay_strategy_table(m, c0, f, v.witness, ML_CONFIG, 4) is True
+            # c giving up y at the start loses
+            moves = {**v.witness.moves, "c": {**v.witness.moves["c"], "s|0,0,0": "x"}}
+            table = StrategyTable(v.witness.spec, v.witness.coalition, moves)
+            assert replay_strategy_table(m, c0, f, table, ML_CONFIG, 4) is False
+
+
 # Oracle outcomes pinned over a seeded population: sha256 of the ordered
 # outcomes, each True, False, None or the refusal with its message.  The
 # oracle's caches may only memoise, so neither its verdicts nor its play
@@ -1083,6 +1137,65 @@ def test_oracle_outcomes_are_pinned():
     assert outcomes[-1] == "TooLarge: oracle enumeration exceeded its play budget"
     blob = "\n".join(outcomes).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == ORACLE_DIGEST
+
+
+# The oracle's work on criterion 4's stream of instances (seed 20250819,
+# ml-config against ml-config, depth 4): per oracle call, the guarded `step`
+# calls, the `Gcgmp.enabled_actions` calls and the nodes entered (the
+# `spend()` calls its literal checker makes), with the outcome.  The caches
+# may make a call cheaper but never change which calls are made, so none of
+# these may drift.  Fourteen calls of the stream spend the whole play budget
+# and take most of its time: only the cheapest of them is run, the other
+# thirteen are skipped.
+ORACLE_WORK_TOO_LARGE = (4, 33, 44, 64, 74, 76, 95, 98, 109, 156, 173, 186, 196, 222)
+ORACLE_WORK_RUN = 95
+ORACLE_WORK_TOTALS = (3_729, 1_248, 195_623)
+ORACLE_WORK_DIGEST = "7fa0fd6359b23e118c211eb15db024a3ac3fbbbea41dd76e64cc3568d2f17af3"
+
+
+def test_oracle_work_is_pinned(monkeypatch):
+    work = [0, 0, 0]
+
+    def counting(i, fn):
+        def wrapped(*args):
+            work[i] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(checker, "step", counting(0, checker.step))
+    monkeypatch.setattr(Gcgmp, "enabled_actions", counting(1, Gcgmp.enabled_actions))
+    init = checker._Literal.__init__
+    monkeypatch.setattr(checker._Literal, "__init__", lambda self, m, so, depth, eval_sf, spend:
+                        init(self, m, so, depth, eval_sf, counting(2, spend)))
+    rng = random.Random(20250819)
+    rows = []
+    checked = 0
+    while checked < 205:
+        m = random_model(rng, checked % 2 == 0)
+        if validate(m):
+            continue
+        try:
+            f = bind_formula(m, parse_formula(random_state_formula(rng, 2)))
+        except GcgmpError:
+            continue
+        call = len(rows)
+        if call in ORACLE_WORK_TOO_LARGE and call != ORACLE_WORK_RUN:
+            rows.append(None)
+            continue
+        work[:] = [0, 0, 0]
+        try:
+            v = enumerate_oracle(m, Configuration(m.states[0], (F(0), F(0))), f, depth=4).value
+        except GcgmpError as e:
+            rows.append((*work, type(e).__name__))
+            continue
+        rows.append((*work, str(v)))
+        checked += v is not None
+    assert [i for i, r in enumerate(rows) if r is None or r[3] == "TooLarge"] == list(
+        ORACLE_WORK_TOO_LARGE)
+    assert rows[ORACLE_WORK_RUN] == (178, 45, 60_001, "TooLarge")
+    ran = [r for r in rows if r is not None]
+    assert tuple(sum(r[i] for r in ran) for i in range(3)) == ORACLE_WORK_TOTALS
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORACLE_WORK_DIGEST
 
 
 # Bounded reports pinned over a seeded population: sha256 of the ordered
