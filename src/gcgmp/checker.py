@@ -1,8 +1,9 @@
 """Model-checking engines for coalition formulas over guarded game models.
 
-Three engines with different scopes, plus a brute-force reference.  The
-first two share one fixpoint core (``_fixpoint`` over the controllable
-predecessor ``_cpre``) and differ only in the graph they run it on:
+Three engines with different scopes, one entry point choosing among them,
+and a brute-force reference.  The first two share one fixpoint core
+(``_fixpoint`` over the controllable predecessor ``_cpre``) and differ only
+in the graph they run it on:
 
 ``check_atl``
     Qualitative fixpoint checking on the bare state graph (guards and
@@ -33,6 +34,11 @@ predecessor ``_cpre``) and differ only in the graph they run it on:
     strategy choices over the bounded tree.  Used to cross-validate the
     engines on tiny instances.
 
+``check``
+    The one entry point: it picks the engine (``auto`` tries them in the
+    order above) and refuses a strategy-class pair that an exact engine
+    does not answer for.
+
 The oracle and ``replay_strategy_table``, the audit of a True verdict's
 strategy table, share one literal play checker, ``_Literal``, which uses
 none of the engines' successor or pool code.
@@ -49,10 +55,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import _REL_FN, PathConstraint, eval_atom, exact, normalize_atom
+from .arith import check_validity_single_var
 from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
 from .errors import (
     FragmentError,
     GcgmpError,
+    NotApplicable,
     NotMonotone,
     TooLarge,
     VariableVsVariableAtom,
@@ -70,6 +78,7 @@ from .logic import (
     Next,
     Not,
     Prop,
+    STRATEGY_CLASSES,
     StrategyClassSpec,
     StrategyMemory,
     StrategyObservation,
@@ -939,6 +948,96 @@ def check_bounded(
 def check_apc_play(m: Gcgmp, p: Play, apc: PathConstraint) -> bool:
     """Whether the lasso's long-run value satisfies the comparison."""
     return _REL_FN[apc.rel](play_value(m, p, apc.agent), apc.bound)
+
+
+# --- one entry point ---------------------------------------------------------
+
+ENGINES = ("atl", "saturated", "bounded")  # the order ``auto`` tries them in
+
+# (proponent, opponent) strategy classes each exact engine answers for
+_EXACT_FOR = {
+    "atl": {(p, "pr-config") for p in STRATEGY_CLASSES}
+    | {("ml-state", o) for o in STRATEGY_CLASSES} | {("ml-config", "ml-config")},
+    "saturated": {("ml-config", "pr-config"), ("pr-config", "pr-config"),
+                  ("ml-config", "ml-config")},
+}
+
+
+def _run(engine: str, m: Gcgmp, c0: Configuration, f: Formula, sp, so, budget: Budget) -> dict:
+    """One engine's report fields, or a NotApplicable worded for the user."""
+    if engine in _EXACT_FOR and (sp.short, so.short) not in _EXACT_FOR[engine]:
+        raise NotApplicable(f"the {engine} engine does not answer for proponents "
+                            f"{sp.short} against opponents {so.short}")
+    if engine == "atl":
+        if classify(f) is not FragmentTag.ATL_PURE:
+            raise NotApplicable("the atl engine handles only constraint-free state formulas")
+        if not all(check_validity_single_var(g) for g in m.guards.values()):
+            raise NotApplicable("the atl engine ignores guards, so it applies only "
+                                "when every guard always holds")
+        winning = check_atl(m, f)
+        return {"verdict": "true" if c0.state in winning else "false",
+                "winning_states": sorted(winning)}
+    try:
+        if engine == "saturated":
+            return check_saturated(m, c0, f).as_json()
+        got = check_bounded(m, c0, f, sp, so, budget).as_json()
+    except NotApplicable as e:
+        raise NotApplicable(f"the {engine} engine does not apply: {e}") from e
+    return {"bounds": {"depth": budget.depth, "strategies": budget.max_strategies,
+                       "nodes": budget.max_nodes}, **got}
+
+
+def check(m: Gcgmp, c0: Configuration, f: Formula, sp: StrategyClassSpec = ML_CONFIG,
+          so: StrategyClassSpec = ML_CONFIG, budget: Union[Budget, int] = 25,
+          engine: str = "auto") -> dict:
+    """Decide ``f`` at ``c0`` for ``sp`` proponents against ``so`` opponents.
+
+    ``auto`` tries ``ENGINES`` in order, and the first that applies answers.
+    Returns a check report's fields: ``engine``, ``strategy_class``,
+    ``verdict`` and the engine's evidence.  When no engine asked for
+    answers, the last refusal is raised, a NotApplicable.
+
+    The bounded engine holds both sides to their classes.  The exact ones
+    compute memoryless winning sets, on states (atl) or clamped
+    configurations (saturated), against opponents who respond after seeing
+    the coalition's move: outside the set a response keeps every coalition
+    move outside, whatever the coalition's memory; inside it the fixpoint
+    strategy wins (Alur, Henzinger & Kupferman, JACM 2002).  So they answer
+    for a pair, listed in ``_EXACT_FOR``, when that strategy is in class
+    ``sp`` and opponents of class ``so`` spoil whatever free ones spoil:
+
+    * ``pr-config`` opponents are free: fixed proponents leave one play per
+      opponent strategy, and no two histories of one play are equal.  atl's
+      state strategy is in every class; saturated's reads utilities, which
+      ``ml-config`` and ``pr-config`` proponents see.
+    * A fixed memoryless coalition is spoiled by a violating play that is a
+      simple path or a lasso in the graph it observes, or never repeats a
+      node: cut a violating prefix at its repeats, and let an infinite play
+      that repeats one go round its first cycle forever.  A commitment per
+      path on that observation, or on a finer one, allows such a play.
+      atl's ``ml-state`` proponents observe states, which every class sees;
+      ``ml-config`` proponents observe configurations, as ``ml-config``
+      opponents do.
+
+    Other pairs are refused: a coalition with recall, or one that reads
+    utilities, can exploit opponents who observe less (in matching pennies
+    an ``ml-state`` opponent's growing utility counts laps for the
+    coalition).  ``pr-state`` opponents are as free as ``pr-config`` ones in
+    every engine, but stay refused until a differential population covers
+    them.
+    """
+    if engine != "auto" and engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; pick auto or one of {ENGINES}")
+    budget = Budget(budget) if isinstance(budget, int) else budget
+    for name in ENGINES if engine == "auto" else (engine,):
+        try:
+            got = _run(name, m, c0, f, sp, so, budget)
+        except NotApplicable as e:
+            refusal = e
+            continue
+        return {"engine": name, "strategy_class": {"proponents": sp.short,
+                                                   "opponents": so.short}, **got}
+    raise refusal
 
 
 # --- literal play checking ---------------------------------------------------

@@ -10,9 +10,8 @@ when an explicitly requested engine cannot handle the instance, or, under
 ``auto``, when no engine can.
 
 Model files may be replaced by ``builtin:fig1`` and machine files by
-``builtin:drain`` to use the bundled examples.  ``GCGMP_THREADS`` caps
-worker parallelism; the bundled engines are sequential, so it is
-recorded in the report and the cap is trivially respected.
+``builtin:drain`` to use the bundled examples.  ``check`` hands the
+engine choice to ``checker.check`` and renders what it returns.
 """
 
 from __future__ import annotations
@@ -21,19 +20,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from . import arith
-from .checker import (
-    Budget,
-    check_atl,
-    check_bounded,
-    check_saturated,
-    observation_key,
-)
+from .checker import ENGINES, check, observation_key
+
+# unused here, but bench/tracing.py wraps the engines at these names
+from .checker import check_atl, check_bounded, check_saturated  # noqa: F401
 from .dynamics import (
     Play,
     enabled_actions,
@@ -43,16 +37,9 @@ from .dynamics import (
     step,
     to_dot,
 )
-from .errors import (
-    FragmentError,
-    GcgmpError,
-    GuardViolation,
-    NotMonotone,
-    ParseError,
-    VariableVsVariableAtom,
-)
+from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError
 from .logic import (
-    FragmentTag,
+    STRATEGY_CLASSES,
     StrategyClassSpec,
     bind_formula,
     classify,
@@ -73,25 +60,6 @@ from .tcm import VARIANTS, encode, load_tcm
 
 class CliInputError(Exception):
     """The invocation cannot be acted on (exit code 2)."""
-
-
-class EnginePreconditionError(Exception):
-    """A forced engine does not apply to this instance (exit code 3)."""
-
-
-STRATEGY_CLASSES = ["ml-state", "ml-config", "pr-state", "pr-config"]
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("GCGMP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"gcgmp: ignoring malformed GCGMP_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, n)
 
 
 def model_digest(m) -> str:
@@ -205,76 +173,13 @@ def cmd_validate(args):
 # --- check ----------------------------------------------------------------
 
 
-def _guards_are_tautologies(m) -> bool:
-    return all(arith.validity_counterexample(g) is None for g in m.guards.values())
-
-
-def _run_atl(m, init, f):
-    if classify(f) is not FragmentTag.ATL_PURE:
-        raise EnginePreconditionError(
-            "the atl engine handles only constraint-free state formulas"
-        )
-    if not _guards_are_tautologies(m):
-        raise EnginePreconditionError(
-            "the atl engine ignores guards, so it applies only when every guard always holds"
-        )
-    winning = check_atl(m, f)
-    return {
-        "engine": "atl",
-        "verdict": "true" if init.state in winning else "false",
-        "winning_states": sorted(winning),
-    }
-
-
-def _run_saturated(m, init, f):
-    try:
-        got = check_saturated(m, init, f)
-    except (NotMonotone, VariableVsVariableAtom, FragmentError) as e:
-        raise EnginePreconditionError(f"the saturated engine does not apply: {e}") from e
-    return {"engine": "saturated", **got.as_json()}
-
-
-def _run_bounded(m, init, f, sp, so, depth):
-    budget = Budget(depth=depth)
-    try:
-        got = check_bounded(m, init, f, sp=sp, so=so, budget=budget)
-    except FragmentError as e:
-        raise EnginePreconditionError(f"the bounded engine does not apply: {e}") from e
-    return {
-        "engine": "bounded",
-        "strategy_class": {"proponents": sp.short, "opponents": so.short},
-        "bounds": {
-            "depth": depth,
-            "strategies": budget.max_strategies,
-            "nodes": budget.max_nodes,
-        },
-        **got.as_json(),
-    }
-
-
 def cmd_check(args):
     m = _load_model(args.model)
     _require_wellformed(m, args.model)
     f = _bound_formula(m, args.formula)
     init = _parse_init(m, args.init)
-    sp = StrategyClassSpec.parse(args.sp)
-    so = StrategyClassSpec.parse(args.so)
-
-    if args.engine == "atl":
-        result = _run_atl(m, init, f)
-    elif args.engine == "saturated":
-        result = _run_saturated(m, init, f)
-    elif args.engine == "bounded":
-        result = _run_bounded(m, init, f, sp, so, args.depth)
-    else:  # auto: cheapest engine that soundly applies
-        try:
-            result = _run_atl(m, init, f)
-        except EnginePreconditionError:
-            try:
-                result = _run_saturated(m, init, f)
-            except EnginePreconditionError:
-                result = _run_bounded(m, init, f, sp, so, args.depth)
-
+    sp, so = STRATEGY_CLASSES[args.sp], STRATEGY_CLASSES[args.so]
+    result = check(m, init, f, sp, so, budget=args.depth, engine=args.engine)
     report = {
         "command": "check",
         "model": args.model,
@@ -511,14 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help="state formula, e.g. '<<I>> G (p1 | v_I > 0)'")
     p.add_argument(
         "--engine",
-        choices=["auto", "atl", "saturated", "bounded"],
+        choices=["auto", *ENGINES],
         default="auto",
         help="auto picks the cheapest engine that soundly applies",
     )
     p.add_argument("--sp", choices=STRATEGY_CLASSES, default="ml-config",
-                   help="strategy class of the coalition (bounded engine)")
+                   help="strategy class of the coalition")
     p.add_argument("--so", choices=STRATEGY_CLASSES, default="ml-config",
-                   help="strategy class of the opponents (bounded engine)")
+                   help="strategy class of the opponents")
     p.add_argument("--depth", type=int, default=25,
                    help="horizon for the bounded engine")
     p.add_argument("--init", help="initial configuration STATE:U1,U2,... "
@@ -561,18 +466,16 @@ _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u202
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = _thread_cap()
     t0 = time.perf_counter()
     try:
         for flag in ("depth", "steps", "bound"):  # step counts, never negative
             if (getattr(args, flag, None) or 0) < 0:
                 raise CliInputError(f"--{flag} must be non-negative")
         report, code = args.handler(args)
-    except (CliInputError, EnginePreconditionError) as e:
+    except (CliInputError, NotApplicable) as e:
         # one line, even when a name from the input holds a line break
         print(f"gcgmp: {str(e).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2 if isinstance(e, CliInputError) else 3
-    report["threads"] = threads
     report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

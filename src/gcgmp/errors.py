@@ -81,15 +81,19 @@ class UndiscountedDiscounted(GcgmpError):
     """Discounted play value requested for an agent whose discount is 1."""
 
 
-class FragmentError(GcgmpError):
+class NotApplicable(GcgmpError):
+    """A checking engine declines an instance it does not decide."""
+
+
+class FragmentError(NotApplicable):
     """A checking engine was handed a formula outside its fragment."""
 
 
-class NotMonotone(GcgmpError):
+class NotMonotone(NotApplicable):
     """The saturation engine needs non-negative payoffs and unit discounts."""
 
 
-class VariableVsVariableAtom(GcgmpError):
+class VariableVsVariableAtom(NotApplicable):
     """Constraint atom compares two variable sums; saturation cannot decide it."""
 
 

@@ -192,30 +192,17 @@ class StrategyClassSpec:
     memory: StrategyMemory
     observation: StrategyObservation
 
-    SHORT = {
-        ("memoryless", "state-based"): "ml-state",
-        ("memoryless", "configuration-based"): "ml-config",
-        ("perfect-recall", "state-based"): "pr-state",
-        ("perfect-recall", "configuration-based"): "pr-config",
-    }
-
     @property
     def short(self) -> str:
-        return self.SHORT[(self.memory.value, self.observation.value)]
+        return next(name for name, spec in STRATEGY_CLASSES.items() if spec == self)
 
     @staticmethod
     def parse(text: str) -> "StrategyClassSpec":
-        table = {
-            "ml-state": ML_STATE,
-            "ml-config": ML_CONFIG,
-            "pr-state": PR_STATE,
-            "pr-config": PR_CONFIG,
-        }
-        if not isinstance(text, str) or text not in table:
+        if not isinstance(text, str) or text not in STRATEGY_CLASSES:
             raise ValueError(
-                f"unknown strategy class {text!r}; pick one of {sorted(table)}"
+                f"unknown strategy class {text!r}; pick one of {sorted(STRATEGY_CLASSES)}"
             )
-        return table[text]
+        return STRATEGY_CLASSES[text]
 
 
 ML_STATE = StrategyClassSpec(StrategyMemory.MEMORYLESS, StrategyObservation.STATE_BASED)
@@ -228,6 +215,11 @@ PR_STATE = StrategyClassSpec(
 PR_CONFIG = StrategyClassSpec(
     StrategyMemory.PERFECT_RECALL, StrategyObservation.CONFIGURATION_BASED
 )
+
+# the one table of strategy-class names, in the order the command line lists them
+STRATEGY_CLASSES = {
+    "ml-state": ML_STATE, "ml-config": ML_CONFIG, "pr-state": PR_STATE, "pr-config": PR_CONFIG,
+}
 
 
 # --- structure queries --------------------------------------------------

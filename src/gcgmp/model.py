@@ -313,9 +313,12 @@ _FIELDS = {
 }
 
 
-def _field(row, key, where):
+def _field(row, key, where, name=False):
+    """``row[key]``; with ``name``, it must be a string, as every name is."""
     if not isinstance(row, Mapping) or key not in row:
         raise ParseError(f"{where}: missing {key!r}")
+    if name and not isinstance(row[key], str):
+        raise ParseError(f"{where}: {key!r} {row[key]!r} is not a name")
     return row[key]
 
 
@@ -353,7 +356,7 @@ def _profile_from_map(agents, entry, where) -> Profile:
     missing = [a for a in agents if a not in entry]
     if missing:
         raise ParseError(f"{where}: profile misses agents: {', '.join(missing)}")
-    return tuple(entry[a] for a in agents)
+    return _names([entry[a] for a in agents], where)
 
 
 def _per_profile(agents, table, what):
@@ -382,7 +385,7 @@ def _load_transitions(agents, table) -> dict[tuple[str, Profile], str]:
         }
     transitions = {}
     for row in table:
-        s = _field(row, "from", "transition")
+        s = _field(row, "from", "transition", name=True)
         where = f"transition from {s!r}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
         transitions[(s, prof)] = _field(row, "to", where)
@@ -399,7 +402,7 @@ def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Rational, ..
             payoffs[(s, prof)] = tuple(exact(_rational(x, where)) for x in vec)
         return payoffs
     for row in table:
-        s = _field(row, "state", "payoff")
+        s = _field(row, "state", "payoff", name=True)
         where = f"payoff at {s!r}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
         values = _mapping(_field(row, "values", where), where)
@@ -417,11 +420,8 @@ def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Rational, ..
 def _load_guards(table) -> dict[tuple[str, str, str], ConstraintFormula]:
     if _is_rows(table):
         texts = {
-            (
-                _field(row, "agent", "guard"),
-                _field(row, "state", "guard"),
-                _field(row, "action", "guard"),
-            ): _field(row, "formula", "guard")
+            tuple(_field(row, k, "guard", name=True) for k in ("agent", "state", "action")):
+            _field(row, "formula", "guard")
             for row in table
         }
     else:

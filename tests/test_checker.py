@@ -1,5 +1,6 @@
 """Engine tests: qualitative fixpoints, saturation, bounded search, oracle."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -35,6 +36,7 @@ from gcgmp.errors import (
     FragmentError,
     GcgmpError,
     GuardViolation,
+    NotApplicable,
     NotMonotone,
     TooLarge,
     VariableVsVariableAtom,
@@ -904,7 +906,7 @@ class TestEngineAgreement:
             if nonneg:
                 try:
                     verdicts["saturated"] = check_saturated(m, c0, f).value
-                except (NotMonotone, VariableVsVariableAtom, FragmentError):
+                except NotApplicable:
                     pass
             defs = {k: v for k, v in verdicts.items() if v is not None}
             assert len(set(defs.values())) <= 1, (verdicts, f)
@@ -1435,3 +1437,122 @@ class TestPlaysThatStop:
         f = fml(m, text)
         assert enumerate_oracle(m, c0, f, ML_STATE, ML_STATE, depth=4).value is want
         assert check_bounded(m, c0, f, ML_STATE, ML_STATE, Budget(4)).value is want
+
+
+# --- the entry point and its strategy-class gate -----------------------------
+
+PROFILES_2X2 = ["x,x", "x,y", "y,x", "y,y"]
+
+# Three 2-state models on which an exact engine, run for a class pair it does
+# not decide, contradicts both the oracle and the bounded engine.  In each,
+# t is labelled q and loops with payoff 0.
+CLASS_MODELS = {
+    # a at s: x loops and pays 1 but needs v_a <= 0, y goes to t.  A
+    # state-based a cannot play x and then y.
+    "proponent-sees-states": ({
+        "agents": ["a"], "states": ["s", "t"], "actions": {"a": ["x", "y"]},
+        "transitions": {"s": {"x": "s", "y": "t"}, "t": {"x": "t", "y": "t"}},
+        "payoffs": {"s": {"x": [1], "y": [0]}, "t": {"x": [0], "y": [0]}},
+        "labels": {"t": ["q"]}, "guards": {"a": {"s": {"x": "v_a <= 0"}}},
+    }, "<<a>>(true U (q & v_a = 1))"),
+    # the same choice for the opponent b, against a coalition without moves
+    "opponents-see-states": ({
+        "agents": ["a", "b"], "states": ["s", "t"], "actions": {"a": ["n"], "b": ["x", "y"]},
+        "transitions": {"s": {"n,x": "s", "n,y": "t"}, "t": {"n,x": "t", "n,y": "t"}},
+        "payoffs": {"s": {"n,x": [0, 1], "n,y": [0, 0]},
+                    "t": {"n,x": [0, 0], "n,y": [0, 0]}},
+        "labels": {"t": ["q"]}, "guards": {"b": {"s": {"x": "v_b <= 0"}}},
+    }, "<<a>> G !(q & v_b = 1)"),
+    # matching pennies: equal actions go to t, unequal ones stay and pay b 1
+    "matching-pennies": ({
+        "agents": ["a", "b"], "states": ["s", "t"],
+        "actions": {"a": ["x", "y"], "b": ["x", "y"]},
+        "transitions": {"s": {p: "t" if p[0] == p[2] else "s" for p in PROFILES_2X2},
+                        "t": {p: "t" for p in PROFILES_2X2}},
+        "payoffs": {"s": {p: [0, 0 if p[0] == p[2] else 1] for p in PROFILES_2X2},
+                    "t": {p: [0, 0] for p in PROFILES_2X2}},
+        "labels": {"t": ["q"]},
+    }, "<<a>>(true U q)"),
+}
+CLASSES = [ML_STATE, ML_CONFIG, PR_STATE, PR_CONFIG]
+
+
+def class_model(name):
+    doc, text = CLASS_MODELS[name]
+    m = mk(doc)
+    return m, Configuration("s", (0,) * len(m.agents)), fml(m, text)
+
+
+class TestEntryPoint:
+    def test_auto_takes_the_cheapest_engine_that_applies(self, fig1):
+        m, c0, _ = class_model("matching-pennies")
+        assert checker.check(m, c0, fml(m, "<<a>>(true U q)"))["engine"] == "atl"
+        assert checker.check(m, c0, fml(m, "<<a>> G v_a = 0"))["engine"] == "saturated"
+        got = checker.check(fig1, Configuration("s1", (0, 0)), fml(fig1, "<<I,II>> X p2"), budget=6)
+        assert (got["engine"], got["verdict"], got["bounds"]["depth"]) == ("bounded", "false", 6)
+
+    def test_every_report_names_its_class_pair(self):
+        m, c0, f = class_model("matching-pennies")
+        for engine in checker.ENGINES:
+            got = checker.check(m, c0, f, PR_CONFIG, PR_CONFIG, budget=4, engine=engine)
+            assert got["engine"] == engine
+            assert got["strategy_class"] == {"proponents": "pr-config", "opponents": "pr-config"}
+
+    def test_auto_falls_through_a_refused_class_pair(self):
+        m, c0, f = class_model("matching-pennies")
+        got = checker.check(m, c0, f, ML_CONFIG, ML_STATE, budget=8)
+        assert (got["engine"], got["verdict"]) == ("bounded", "true")
+        assert got["witness"]["moves"] == {"a": {"s|0,0": "x", "s|0,1": "y"}}
+
+    @pytest.mark.parametrize("engine", ["atl", "saturated"])
+    def test_a_forced_engine_refuses_a_pair_it_does_not_decide(self, engine):
+        m, c0, f = class_model("matching-pennies")
+        with pytest.raises(NotApplicable, match="proponents pr-state against opponents ml-state"):
+            checker.check(m, c0, f, PR_STATE, ML_STATE, engine=engine)
+
+    def test_the_last_refusal_is_raised(self, fig1):
+        c0 = Configuration("s1", (0, 0))
+        with pytest.raises(NotApplicable, match="^the bounded engine does not apply"):
+            checker.check(fig1, c0, fml(fig1, "<<I>>G X p1"))
+        with pytest.raises(NotApplicable, match="^the saturated engine does not apply"):
+            checker.check(fig1, c0, fml(fig1, "<<I>> G v_I >= 0"), engine="saturated")
+        with pytest.raises(ValueError):
+            checker.check(fig1, c0, fml(fig1, "<<I>> X p1"), engine="fastest")
+
+    @pytest.mark.parametrize("name, sp, so, want", [
+        ("proponent-sees-states", ML_STATE, ML_CONFIG, False),
+        ("opponents-see-states", ML_CONFIG, ML_STATE, True),
+        ("matching-pennies", PR_STATE, ML_STATE, True),
+        ("matching-pennies", ML_CONFIG, ML_STATE, True),
+    ])
+    def test_auto_agrees_with_the_oracle(self, name, sp, so, want):
+        m, c0, f = class_model(name)
+        assert enumerate_oracle(m, c0, f, sp, so, depth=4).value is want
+        got = checker.check(m, c0, f, sp, so, budget=8)
+        assert (got["engine"], got["verdict"]) == ("bounded", str(want).lower())
+
+    def test_exact_engines_disagree_only_in_refused_cells(self):
+        # every exact engine that accepts the instance, on all 16 class pairs,
+        # against the depth-4 oracle or, where that is unknown, bounded at 8
+        refused, admitted = [], []
+        for name in CLASS_MODELS:
+            m, c0, f = class_model(name)
+            raw = {}
+            with contextlib.suppress(NotApplicable):
+                raw["saturated"] = check_saturated(m, c0, f).value
+            if name == "matching-pennies":
+                raw["atl"] = "s" in check_atl(m, f)
+            for sp, so in itertools.product(CLASSES, CLASSES):
+                want = enumerate_oracle(m, c0, f, sp, so, depth=4).value
+                if want is None:
+                    want = check_bounded(m, c0, f, sp, so, Budget(8)).value
+                for engine, value in raw.items():
+                    try:
+                        checker.check(m, c0, f, sp, so, engine=engine)
+                    except NotApplicable:
+                        cell = refused
+                    else:
+                        cell = admitted
+                    cell.append(want is None or value is want)
+        assert admitted.count(False) == 0 and len(admitted) == 17
+        assert refused.count(False) == 14 and len(refused) == 47

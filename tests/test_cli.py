@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gcgmp.cli import main
@@ -49,6 +49,36 @@ def incskip_doc():
         "labels": {},
         "value_semantics": "total",
     }
+
+
+def incskip_rows_doc():
+    """incskip_doc in the row dialect, with a guard on inc."""
+    return {
+        "agents": ["a"],
+        "states": ["s"],
+        "actions": {"a": ["inc", "skip"]},
+        "transitions": [
+            {"from": "s", "profile": {"a": act}, "to": "s"} for act in ("inc", "skip")
+        ],
+        "payoffs": [
+            {"state": "s", "profile": {"a": act}, "values": {"a": pay}}
+            for act, pay in (("inc", 1), ("skip", 0))
+        ],
+        "guards": [{"agent": "a", "state": "s", "action": "inc", "formula": "v_a <= 3"}],
+        "atoms": [],
+        "labels": {},
+        "value_semantics": "total",
+    }
+
+
+def rows_with(path, value):
+    """incskip_rows_doc() with the entry at ``path`` replaced by ``value``."""
+    doc = incskip_rows_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 def machine_doc():
@@ -191,6 +221,26 @@ class TestCheck:
         _, report, _ = run(capsys, "check", path, "<<a>> X true")
         assert report["engine"] == "atl"
         assert report["verdict"] == "true"
+
+    def test_exact_reports_name_their_class_pair(self, capsys, tmp_path):
+        path = write_model(tmp_path, incskip_doc())
+        for formula, engine in [("<<a>> G (v_a <= 2)", "saturated"), ("<<a>> X true", "atl")]:
+            _, report, _ = run(capsys, "check", path, formula, "--so", "pr-config")
+            assert report["engine"] == engine
+            assert report["strategy_class"] == {"proponents": "ml-config",
+                                                "opponents": "pr-config"}
+
+    @pytest.mark.parametrize("engine", ["atl", "saturated"])
+    def test_forcing_an_exact_engine_on_a_refused_class_pair_exits_3(self, capsys, tmp_path,
+                                                                     engine):
+        path = write_model(tmp_path, incskip_doc())
+        code, report, err = run(capsys, "check", path, "<<a>> X true", "--engine", engine,
+                                "--sp", "pr-state")
+        assert (code, report) == (3, None)
+        assert err.splitlines() == [f"gcgmp: the {engine} engine does not answer for "
+                                    "proponents pr-state against opponents ml-config"]
+        _, report, _ = run(capsys, "check", path, "<<a>> X true", "--sp", "pr-state")
+        assert (report["engine"], report["verdict"]) == ("bounded", "true")
 
     def test_auto_falls_back_to_bounded_on_fig1(self, capsys):
         # guards are real, payoffs go negative: only the bounded engine applies
@@ -613,7 +663,7 @@ class TestReportHygiene:
 
     def test_common_fields_present(self, capsys):
         _, report, _ = run(capsys, "validate", "builtin:fig1")
-        for field in ["command", "model_sha256", "threads", "wall_ms"]:
+        for field in ["command", "model_sha256", "wall_ms"]:
             assert field in report
 
     def test_hash_tracks_content(self, capsys, tmp_path):
@@ -624,15 +674,6 @@ class TestReportHygiene:
         assert a["model_sha256"] != b["model_sha256"]
         _, again, _ = run(capsys, "validate", "builtin:fig1")
         assert a["model_sha256"] == again["model_sha256"]
-
-    def test_thread_cap_comes_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("GCGMP_THREADS", "7")
-        _, report, _ = run(capsys, "validate", "builtin:fig1")
-        assert report["threads"] == 7
-        monkeypatch.setenv("GCGMP_THREADS", "many")
-        _, report, err = run(capsys, "validate", "builtin:fig1")
-        assert report["threads"] == 1
-        assert "GCGMP_THREADS" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -729,13 +770,22 @@ class TestExitCodeContract:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        doc=mutated(incskip_doc, _FIELDS),
+        doc=mutated(incskip_doc, _FIELDS) | mutated(incskip_rows_doc, _FIELDS),
         formula=st.sampled_from(_FORMULAS)
         | st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=10).map(" ".join)
         | st.text(max_size=10),
         init=st.sampled_from(_INITS) | st.text(max_size=6),
         engine=st.sampled_from(["auto", "atl", "saturated", "bounded"]),
     )
+    # a name field holding a list or an object, which no dict key can be
+    @example(doc=rows_with(("transitions", 0, "from"), ["s"]),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc=rows_with(("payoffs", 1, "state"), {"s": "s"}),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc=rows_with(("guards", 0, "action"), ["inc"]),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc=rows_with(("transitions", 1, "profile", "a"), {"skip": 0}),
+             formula="<<a>> X true", init="s", engine="auto")
     def test_any_input_keeps_the_contract(self, capsys, tmp_path, doc, formula, init, engine):
         path = write_model(tmp_path, doc)
         check = ["check", path, f"--init={init}", "--depth", "4", "--engine", engine, "--", formula]
