@@ -326,6 +326,8 @@ def tokenize(text: str) -> list[Token]:
                 while k < n and text[k].isdecimal():
                     k += 1
                 den = text[j + 1:k]
+                if not int(den):
+                    raise ParseError("zero denominator", col=j + 1)
                 j = k
             toks.append(Token("number", text[i:j], Fraction(int(num), int(den)), i))
             i = j

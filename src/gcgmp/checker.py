@@ -395,7 +395,7 @@ class _Point:
     obs: object  # _strategy_key of the same observation, for reports
     alts: list  # coalition joint moves enabled where the point was created
     idx: int = 0
-    blame: set = field(default_factory=set)
+    blame: int = 0  # bitmask of the point ids this point's exhaustion blames
 
     @property
     def move(self):
@@ -542,7 +542,8 @@ class _CoopSolver:
 
     The proponent side is a persistent odometer over consultation points;
     each sweep fixes its committed choices and walks every opponent branch.
-    A refuted sweep reports which points it actually consulted, and the
+    A refuted sweep reports which points it actually consulted, as a
+    bitmask of point ids (so do the blame sets the odometer keeps), and the
     odometer backjumps to the deepest of them, discarding younger points.
 
     A sweep resumes where the backjump lands instead of walking again from
@@ -550,11 +551,15 @@ class _CoopSolver:
     backtracking does (Ginsberg, JAIR 1993).  The walk is an explicit stack
     of immutable frames, each linked to its parent.  A consultation whose
     point id is higher than every id consulted before it in the sweep keeps
-    a checkpoint: the node's folded state, the frame above it and copies of
-    the path.  The walk up to that consultation read only lower points, and
-    it is deterministic in their moves.  So after a backjump to point j,
-    the next sweep starts at the first checkpoint whose id is at least j,
-    and at the root if there is none.
+    a checkpoint: the node's folded state, the frame above it and snapshots
+    of the path, its opponent commitments and its position index.  The walk
+    up to that consultation read only lower points, and it is deterministic
+    in their moves.  So after a backjump to point j, the next sweep starts
+    at the first checkpoint whose id is at least j, and at the root if there
+    is none; a checkpoint of j itself is kept for the sweeps after.  Most
+    sweeps walk one or two nodes, so nothing else is copied per sweep: a
+    refuted path only for a kept record, response lists once per
+    configuration.
     """
 
     def __init__(self, ctx: _Ctx, coop: Coop, c0: Configuration, l0: int, depth: int):
@@ -571,8 +576,9 @@ class _CoopSolver:
         self.records: list = []  # (configs, profiles, loop, refutes) per refutation
         self.sweep_consulted: dict = {}  # point ids in first-consulted order
         # (point id, frame, c, l, machine, consulted, n, path_configs,
-        # path_profiles, tau_store) at each record-high consultation
+        # path_profiles, tau_store, path_index) at each record-high consultation
         self.checkpoints: list = []
+        self.responses: dict = {}  # id of an interned configuration -> opponent responses
         self.capped = False  # gave up because of the sweep budget
         self.saw_refutation = False
 
@@ -604,22 +610,22 @@ class _CoopSolver:
                 return None, pid, True
         return move, pid, False
 
-    def _bump(self, conflict: set) -> Optional[int]:
-        """Advance the odometer past a refuted assignment.  Returns the id
-        of the point that moved, or None when the whole proponent space is
-        exhausted."""
-        work = set(conflict)
+    def _bump(self, conflict: int) -> Optional[int]:
+        """Advance the odometer past a refuted assignment, given as a bitmask
+        of point ids.  Returns the id of the point that moved, or None when
+        the whole proponent space is exhausted."""
+        work = conflict
         while work:
-            j = max(work)
+            j = work.bit_length() - 1
             point = self.points[j]
-            point.blame |= work - {j}
+            point.blame |= work ^ (1 << j)
             point.idx += 1
             for p in self.points[j + 1 :]:
                 self.index.pop(p.key, None)
             del self.points[j + 1 :]
             if point.idx < len(point.alts):
                 return j
-            work = set(point.blame)
+            work = point.blame
             self.index.pop(point.key, None)
             del self.points[j]
         return None
@@ -641,13 +647,14 @@ class _CoopSolver:
             if value is False:
                 self.saw_refutation = True
                 if len(self.records) < 50:
-                    # a point with no enabled coalition move commits to nothing;
-                    # the moves change on a bump, so they are named now
-                    self.records.append(record + ({
-                        _obs_str(self.points[i].obs): list(self.points[i].move)
-                        for i in sorted(conflict)
-                        if self.points[i].alts
-                    },))
+                    # the path lists are the walk's own; a point with no enabled
+                    # coalition move commits to nothing; the moves change on a
+                    # bump, so they are named now
+                    configs, profiles, loop = record
+                    self.records.append((tuple(configs), tuple(profiles), loop, {
+                        _obs_str(p.obs): list(p.move)
+                        for i, p in enumerate(self.points) if conflict >> i & 1 and p.alts
+                    }))
                 if not conflict:
                     return False, None, self.records
                 j = self._bump(conflict)
@@ -661,14 +668,19 @@ class _CoopSolver:
                 any_unknown = True
                 if not self.points:
                     return None, None, None
-                j = self._bump(set(range(len(self.points))))
+                j = self._bump((1 << len(self.points)) - 1)
                 if j is None:
                     return None, None, None
-            # checkpoint ids rise through the sweep; drop the first one at or
-            # past j and all after it, since the next sweep passes it again
+            # checkpoint ids rise through the sweep; the next one resumes at
+            # the first at or past j and passes all after it again, so those
+            # go.  j's own stays: the walk up to it reads only lower points,
+            # so the next sweep would rebuild it unchanged
             k = bisect.bisect_left(self.checkpoints, j, key=operator.itemgetter(0))
             start = self.checkpoints[k] if k < len(self.checkpoints) else None
-            del self.checkpoints[k if start else 0 :]
+            if start is None:
+                self.checkpoints.clear()
+            else:
+                del self.checkpoints[k + 1 if start[0] == j else k :]
 
     def _witness(self) -> StrategyTable:
         moves: dict[str, dict[str, str]] = {a: {} for a in self.members}
@@ -686,24 +698,30 @@ class _CoopSolver:
 
         A frame is (parent, c, l, machine, consulted, move, tau_key, push,
         responses, i, unknown): a node being expanded, whose response
-        ``responses[i - 1]`` led to the child walked now.  Returns (value,
-        conflict, record); a False value ends the sweep, and its record is
-        the refuted path as (configurations, profiles, loop index).
+        ``responses[i - 1]`` led to the child walked now.  A node with one
+        response and no opponent commitment to undo gets no frame: its
+        child's value is its own.  Returns (value, conflict, record); a False
+        value ends the sweep, and its record is the refuted path as
+        (configurations, profiles, loop index), in the walk's own lists.
         """
         ctx = self.ctx
         depth, members, oi, weave = self.depth, self.members, self.oi, self.weave
         tau_memoryless = bool(oi) and ctx.so.memory is StrategyMemory.MEMORYLESS
         fold = start is None  # a resumed node was entered by the last sweep
-        root = (-1, None, self.c0, self.l0, self.machine0, frozenset(), 0, (self.c0,), (), {})
-        _, top, c, l, machine, consulted, n, configs, profiles, taus = start or root
-        path_configs, path_profiles, tau_store = list(configs), list(profiles), dict(taus)
-        # the first occurrence of a configuration wins
-        path_index = dict(zip(map(id, reversed(configs)), range(len(configs) - 1, -1, -1)))
-        self.sweep_consulted = dict.fromkeys(itertools.islice(self.sweep_consulted, n))
+        root = (-1, None, self.c0, self.l0, self.machine0, 0, 0, (self.c0,), (), {},
+                {id(self.c0): 0})
+        _, top, c, l, machine, consulted, n, configs, profiles, taus, index = start or root
+        path_configs, path_profiles = list(configs), list(profiles)
+        # the index may keep entries of branches abandoned before the
+        # checkpoint; the descent corrects the one entry it reads
+        tau_store, path_index = dict(taus), dict(index)
+        sweep_consulted = self.sweep_consulted
+        while len(sweep_consulted) > n:  # back to the checkpoint's, newest first
+            sweep_consulted.popitem()
         high = self.checkpoints[-1][0] if self.checkpoints else -1
 
         def refuted(loop=None):
-            return False, consulted, (tuple(path_configs), tuple(path_profiles), loop)
+            return False, consulted, (path_configs, path_profiles, loop)
 
         while True:
             # -- enter c: fold the position into the body state, close a
@@ -760,27 +778,28 @@ class _CoopSolver:
                 if pid is not None:
                     if pid > high:
                         high = pid
-                        n = len(self.sweep_consulted) - 1
+                        n = len(sweep_consulted) - 1
                         self.checkpoints.append((
-                            pid, top, c, l, machine, consulted, n,
-                            tuple(path_configs), tuple(path_profiles), dict(tau_store),
+                            pid, top, c, l, machine, consulted, n, tuple(path_configs),
+                            tuple(path_profiles), dict(tau_store), dict(path_index),
                         ))
-                    consulted = consulted | {pid}
+                    consulted |= 1 << pid
                 if invalid:
                     return refuted()
-                pools = ctx.pools(c)
                 tau_key = _search_key(ctx.so, path_configs) if oi else None
                 committed = tau_store.get(tau_key) if oi else None
                 if committed is None:
-                    responses = list(itertools.product(*[pools[i] for i in oi]))
-                elif all(act in pools[i] for i, act in zip(oi, committed)):
-                    responses = [committed]
+                    responses = self.responses.get(id(c))
+                    if responses is None:
+                        pools = ctx.pools(c)
+                        responses = self.responses[id(c)] = list(
+                            itertools.product(*[pools[i] for i in oi]))
                 else:
-                    responses = []  # the committed opponent action is no longer legal
-                if responses:
-                    push = tau_memoryless and committed is None
-                    top = (top, c, l, machine, consulted, move, tau_key, push, responses, 0, False)
-                else:
+                    pools = ctx.pools(c)
+                    # the committed opponent action may no longer be legal here
+                    legal = all(act in pools[i] for i, act in zip(oi, committed))
+                    responses = [committed] if legal else []
+                if not responses:
                     # opponents are stuck: the play ends here, and its prefix
                     # is valued with a true future, as _Literal.value does
                     v = True
@@ -788,26 +807,34 @@ class _CoopSolver:
                         v = machine[2]
                     elif machine[0] == "U":
                         v = k_or(machine[3], machine[4])
+                else:
+                    resp = responses[0]
+                    push = tau_memoryless and committed is None
+                    if push or len(responses) > 1:
+                        top = (top, c, l, machine, consulted, move, tau_key, push, responses, 1,
+                               False)
+                        if push:
+                            tau_store[tau_key] = resp
 
-            # -- report resolved nodes upwards, then descend into the next child
+            # -- report resolved nodes upwards, up to the next response
             while v is not _OPEN:
                 if top is None:
                     return v, None, None
                 if top[7]:
                     del tau_store[top[6]]
                 if top[9] < len(top[8]):
-                    if v is None and not top[10]:
-                        top = top[:10] + (True,)
+                    _, c, l, machine, consulted, move, tau_key, push, responses, i, unknown = top
+                    resp = responses[i]
+                    top = top[:9] + (i + 1, unknown or v is None)
+                    if push:
+                        tau_store[tau_key] = resp
                     break
                 if top[10]:
                     v = None  # every response is walked and one was unknown
                 top = top[0]
-            _, c, l, machine, consulted, move, tau_key, push, responses, i, unknown = top
-            resp = responses[i]
+
+            # -- descend from c by the coalition move and response ``resp``
             prof = weave(move + resp)
-            top = top[:9] + (i + 1, unknown)
-            if push:
-                tau_store[tau_key] = resp
             # the path lists keep stale entries past the parent until here
             pos = l - self.l0 + 1
             del path_configs[pos:], path_profiles[pos - 1 :]

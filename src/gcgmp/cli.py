@@ -17,6 +17,7 @@ engine choice to ``checker.check`` and renders what it returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -30,6 +31,7 @@ from .checker import ENGINES, check, observation_key
 from .checker import check_atl, check_bounded, check_saturated  # noqa: F401
 from .dynamics import (
     Play,
+    dot_lines,
     enabled_actions,
     explore,
     initial_config,
@@ -135,6 +137,15 @@ def _parse_init(m, text: str | None):
 
 def _config_json(c) -> dict:
     return {"state": c.state, "utilities": [str(u) for u in c.utilities]}
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failed write to ``path`` into unusable input (exit 2)."""
+    try:
+        yield
+    except OSError as e:
+        raise CliInputError(f"cannot write {path!r}: {e}") from e
 
 
 def _require_wellformed(m, path):
@@ -358,12 +369,13 @@ def cmd_encode_tcm(args):
         "formula": enc.formula_text,
     }
     if args.output is not None:
-        dump_model(enc.model, args.output)
+        with _writing(args.output):
+            dump_model(enc.model, args.output)
         report["model_written"] = args.output
     else:
         report["model"] = model_to_dict(enc.model)
     if args.emit_formula is not None:
-        with open(args.emit_formula, "w", encoding="utf-8") as fh:
+        with _writing(args.emit_formula), open(args.emit_formula, "w", encoding="utf-8") as fh:
             fh.write(enc.formula_text + "\n")
         report["formula_written"] = args.emit_formula
     return report, 0
@@ -377,7 +389,6 @@ def cmd_export_graph(args):
     _require_wellformed(m, args.model)
     init = _parse_init(m, args.init)
     result = explore(m, init, args.bound)
-    dot = to_dot(result)
     report = {
         "command": "export-graph",
         "model": args.model,
@@ -389,11 +400,12 @@ def cmd_export_graph(args):
         "truncated": result.truncated,
     }
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        # streamed: the whole text of a large graph never sits in memory
+        with _writing(args.output), open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(dot_lines(result))
         report["dot_written"] = args.output
     else:
-        report["dot"] = dot
+        report["dot"] = to_dot(result)
     return report, 0
 
 

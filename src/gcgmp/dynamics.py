@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import Rational, eval_acf, exact
 from .errors import (
@@ -36,20 +36,16 @@ from .errors import (
 from .model import Gcgmp, Profile, ValueSemantics
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
+    """A state and every agent's running utility.  A search key built and
+    hashed at every step, hence a named tuple: hashing and equality run in C
+    (``2`` and ``Fraction(2)`` are equal utilities with equal hashes).  JSON
+    would write a tuple as a bare list, so reports go through
+    ``cli._config_json`` or ``checker._trace``."""
+
     state: str
     # one per agent, in model agent order; exact rationals: int when integral, else Fraction
     utilities: tuple[Rational, ...]
-
-    def __hash__(self):
-        # configurations are hashed constantly as search keys, and hashing
-        # a tuple of rationals is not free, so compute once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.state, self.utilities))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:
@@ -390,14 +386,15 @@ def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> 
     )
 
 
-def to_dot(result: ExploreResult) -> str:
-    """Render an exploration as Graphviz DOT text.
+def dot_lines(result: ExploreResult) -> Iterator[str]:
+    """Render an exploration as Graphviz DOT text, one newline-ended line at
+    a time, so that a large graph can be written out without holding it.
 
     Node labels read ``state | u1,u2,…``; nodes cut short by the step budget
     while moves were still enabled are drawn dashed.
     """
     names = {k: f"n{i}" for i, k in enumerate(result.nodes)}
-    lines = ["digraph gcgmp {", "  rankdir=LR;"]
+    yield "digraph gcgmp {\n  rankdir=LR;\n"
     for k in result.nodes:
         if result.step_indexed:
             c, l = k
@@ -406,8 +403,12 @@ def to_dot(result: ExploreResult) -> str:
             c, extra = k, ""
         us = ",".join(str(u) for u in c.utilities)
         style = ", style=dashed" if k in result.unexpanded else ""
-        lines.append(f'  {names[k]} [label="{c.state} | {us}{extra}"{style}];')
+        yield f'  {names[k]} [label="{c.state} | {us}{extra}"{style}];\n'
     for src, prof, dst in result.edges:
-        lines.append(f'  {names[src]} -> {names[dst]} [label="{",".join(prof)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {names[src]} -> {names[dst]} [label="{",".join(prof)}"];\n'
+    yield "}\n"
+
+
+def to_dot(result: ExploreResult) -> str:
+    """The whole DOT text of ``dot_lines``, for reports that embed it."""
+    return "".join(dot_lines(result))

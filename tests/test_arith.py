@@ -186,6 +186,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_acf("v_ > 0")
 
+    @pytest.mark.parametrize(
+        "parse, text, col",
+        [(parse_acf, "v_a >= 1/0", 9), (parse_acf, "2/00 * v_a > 1", 2),
+         (parse_apc, "w_I >= -3/0", 10)],
+    )
+    def test_zero_denominator(self, parse, text, col):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert "zero denominator" in str(e.value)
+        assert e.value.col == col
+
 
 # --- properties ---------------------------------------------------------
 

@@ -426,24 +426,59 @@ class TestBounded:
         v = check_bounded(m, Configuration("s", (F(0),)), fml(m, "<<>> (true U q)"), budget=4)
         assert (v.value, v.bound_used) == (True, 4)
 
-    def test_an_opponent_commits_only_along_its_own_path(self):
-        # a memoryless opponent plays y at t on the x branch; on the y branch
-        # it reaches t with v_a = 1 and is free to play x there, which pays 1
+    @staticmethod
+    def two_ways_to_t(guards=()):
         edges = [("s", "x", "t", "0"), ("s", "y", "u", "1"), ("u", "x", "t", "0"),
                  ("u", "y", "t", "0"), ("t", "x", "g", "1"), ("t", "y", "g", "0"),
                  ("g", "x", "g", "0"), ("g", "y", "g", "0")]
-        m = mk({
+        return mk({
             "agents": ["a"],
             "states": ["s", "u", "t", "g"],
             "actions": {"a": ["x", "y"]},
             "transitions": [{"from": s, "profile": {"a": a}, "to": t} for s, a, t, _ in edges],
             "payoffs": [{"state": s, "profile": {"a": a}, "values": {"a": p}}
                         for s, a, _, p in edges],
+            "guards": [{"agent": "a", "state": "t", "action": "x", "formula": g} for g in guards],
             "labels": {},
         })
+
+    def test_an_opponent_commits_only_along_its_own_path(self):
+        # a memoryless opponent plays y at t on the x branch; on the y branch
+        # it reaches t with v_a = 1 and is free to play x there, which pays 1
+        m = self.two_ways_to_t()
         f = fml(m, "<<>> G (v_a <= 1)")
         v = check_bounded(m, Configuration("s", (F(0),)), f, ML_STATE, ML_STATE, Budget(4))
         assert v.value is False
+
+    def test_a_lone_opponent_response_commits_only_along_its_own_path(self):
+        # as above, but at t with v_a = 0 the guard leaves y the only move
+        m = self.two_ways_to_t(["v_a >= 1"])
+        f = fml(m, "<<>> G (v_a <= 1)")
+        v = check_bounded(m, Configuration("s", (F(0),)), f, ML_STATE, ML_STATE, Budget(4))
+        assert v.value is False
+
+    def test_a_lone_opponent_response_commits_down_its_path(self):
+        # at t with v_a = 0 the guard leaves the opponent only y, which loops
+        # back to t through w with v_a = 1; committed to y at t, it can never
+        # take x to the q state, so only the horizon stops the search
+        edges = [("s", "x", "t", "0"), ("s", "y", "t", "0"), ("t", "x", "g", "0"),
+                 ("t", "y", "w", "1"), ("w", "x", "t", "0"), ("w", "y", "t", "0"),
+                 ("g", "x", "g", "0"), ("g", "y", "g", "0")]
+        m = mk({
+            "agents": ["a"],
+            "states": ["s", "t", "w", "g"],
+            "actions": {"a": ["x", "y"]},
+            "transitions": [{"from": s, "profile": {"a": a}, "to": t} for s, a, t, _ in edges],
+            "payoffs": [{"state": s, "profile": {"a": a}, "values": {"a": p}}
+                        for s, a, _, p in edges],
+            "guards": [{"agent": "a", "state": "t", "action": "x", "formula": "v_a >= 1"}],
+            "atoms": ["q"],
+            "labels": {"g": ["q"]},
+        })
+        f = fml(m, "<<>> G !q")
+        for so, value in ((ML_STATE, None), (PR_STATE, False)):
+            v = check_bounded(m, Configuration("s", (F(0),)), f, ML_STATE, so, Budget(4))
+            assert (v.value, v.bound_used) == (value, 4)
 
     def test_lone_player_cannot_stay_safe(self, fig1):
         c0 = Configuration("s1", (F(0), F(0)))
@@ -688,6 +723,39 @@ def test_sweeps_resume_instead_of_replaying(fig1):
         Budget(120, max_nodes=20_000),
     )
     assert (v.value, v.bound_used) == (True, 64)
+
+
+# The bounded engine's work per BOUNDED_GOLDEN row, over its whole deepening
+# ladder: nodes entered (`_Ctx.tick` calls, which `Budget.max_nodes` counts)
+# and sweeps (`_CoopSolver._walk` calls, which `Budget.max_strategies`
+# counts).  A faster engine must walk exactly the same search.
+BOUNDED_WORK_DIGEST = "1e2c30bbaf4c49a722d1f1c5342bef022ce11f3a49f2a31ae6d2155240820511"
+
+
+def test_bounded_work_is_pinned(fig1, monkeypatch):
+    work = [0, 0]
+    tick, walk = checker._Ctx.tick, checker._CoopSolver._walk
+
+    def counting_tick(self):
+        work[0] += 1
+        return tick(self)
+
+    def counting_walk(self, start):
+        work[1] += 1
+        return walk(self, start)
+
+    monkeypatch.setattr(checker._Ctx, "tick", counting_tick)
+    monkeypatch.setattr(checker._CoopSolver, "_walk", counting_walk)
+    half = dataclasses.replace(fig1, discounts={"I": F(1, 2), "II": F(1)})
+    rows = []
+    for model, text, depth, sp, so, *_ in BOUNDED_GOLDEN:
+        m = half if model == "half" else fig1
+        work[:] = [0, 0]
+        check_bounded(m, Configuration("s1", (F(0), F(0))), fml(m, text),
+                      StrategyClassSpec.parse(sp), StrategyClassSpec.parse(so), Budget(depth))
+        rows.append(tuple(work))
+    assert rows[1] == (16_226, 12_050)  # the rich query
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == BOUNDED_WORK_DIGEST
 
 
 # --- play-value checks -------------------------------------------------------

@@ -5,6 +5,7 @@ byte-identical across runs except for wall_ms.  Exit codes: 0 completed,
 1 validation violations, 2 unusable input, 3 forced engine refused.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -313,6 +314,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", "builtin:fig1", formula)
         assert code == 2
         assert hint in err
+
+    @pytest.mark.parametrize(
+        "formula", ["<<I>> X (v_I > 1/0)", "<<I>> (w_I >= 1/0)", "<<I>> X (2/0 * v_I > 1)"]
+    )
+    def test_zero_denominator_in_a_formula_exits_2(self, capsys, formula):
+        code, report, err = run(capsys, "check", "builtin:fig1", formula)
+        assert (code, report) == (2, None)
+        assert "zero denominator" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "validate"])
+    def test_zero_denominator_in_a_guard_exits_2(self, capsys, tmp_path, command):
+        doc = incskip_doc()
+        doc["guards"] = {"a": {"s": {"inc": "v_a >= 1/0"}}}
+        path = write_model(tmp_path, doc)
+        formula = ["<<a>> X true"] if command == "check" else []
+        code, report, err = run(capsys, command, path, *formula)
+        assert (code, report) == (2, None)
+        assert "zero denominator" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("init", ["s9", "s1:1", "s1:1,2,3", "s1:one,two"])
     def test_unusable_inits_exit_2(self, capsys, init):
@@ -640,6 +659,45 @@ class TestExportGraph:
         assert report["dot"].startswith("digraph")
 
     @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["export-graph", "builtin:fig1", "--bound", "2", "-o"], "missing/x.dot"),
+            (["export-graph", "builtin:fig1", "--bound", "2", "-o"], "."),
+            (["encode-tcm", "builtin:drain", "-o"], "missing/x.json"),
+            (["encode-tcm", "builtin:drain", "--emit-formula"], "missing/f"),
+        ],
+        ids=["graph-missing-dir", "graph-to-directory", "tcm-missing-dir", "formula-missing-dir"],
+    )
+    def test_failed_writes_exit_2(self, capsys, tmp_path, argv, target):
+        path = str(tmp_path / target)
+        code, report, err = run(capsys, *argv, path)
+        assert (code, report) == (2, None)
+        assert f"cannot write {path!r}" in err and err.count("\n") == 1
+
+    # sha256 of the DOT files: fig1 to 18 steps, and fig1 with player I
+    # discounted by 1/2 (step-indexed `@l=` labels, dashed frontier) to 6
+    @pytest.mark.parametrize(
+        "discounted, bound, digest",
+        [(False, "18", "a1b55fdf32dc1d6274749f552b5619178da98b0f79582a84e457a0e4ee5bf833"),
+         (True, "6", "ddbdc20869d87b57a88d4af7cba4f3d5dc001fc82bfb8409ed8f7f662e2119e3")],
+        ids=["fig1", "half"],
+    )
+    def test_dot_bytes_are_pinned(self, capsys, tmp_path, discounted, bound, digest):
+        model = "builtin:fig1"
+        if discounted:
+            doc = model_to_dict(builtin_fig1())
+            doc["discounts"] = {"I": "1/2", "II": "1"}
+            model = write_model(tmp_path, doc)
+        out = tmp_path / "g.dot"
+        code, report, _ = run(capsys, "export-graph", model, "--bound", bound, "-o", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert (b"@l=" in data) == discounted and b"style=dashed" in data
+        _, inline, _ = run(capsys, "export-graph", model, "--bound", bound)
+        assert inline["dot"].encode("utf-8") == data
+
+    @pytest.mark.parametrize(
         "command, flag",
         [("check", "--depth"), ("simulate", "--steps"), ("export-graph", "--bound")],
         ids=["check-depth", "simulate-steps", "export-graph-bound"],
@@ -660,6 +718,39 @@ class TestReportHygiene:
         first.pop("wall_ms")
         second.pop("wall_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "builtin:fig1", "<<I,II>>(true U (p1 & v_I > 12 & v_II > 12))",
+             "--depth", "60", "--sp", "pr-config", "--so", "pr-config"],
+            ["check", "builtin:fig1", "<<I>> G (p1 | v_I > 0)", "--depth", "20"],
+            ["simulate", "builtin:fig1", "--steps", "4"],
+            ["encode-tcm", "builtin:drain"],
+            ["export-graph", "builtin:fig1", "--bound", "2"],
+        ],
+        ids=["witness", "counterexample", "simulate", "encode-tcm", "export-graph"],
+    )
+    def test_configurations_are_reported_as_objects(self, capsys, argv):
+        # a configuration is a tuple, which json would silently write as a list
+        code, report, _ = run(capsys, *argv)
+        assert code == 0
+        seen = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                if "state" in node and "utilities" in node:
+                    seen.append(node)
+                for child in node.values():
+                    walk(child)
+            elif isinstance(node, list):
+                assert not (len(node) == 2 and isinstance(node[0], str)
+                            and isinstance(node[1], list)), node
+                for child in node:
+                    walk(child)
+
+        walk(report)
+        assert seen and all(isinstance(c["utilities"], list) for c in seen)
 
     def test_common_fields_present(self, capsys):
         _, report, _ = run(capsys, "validate", "builtin:fig1")

@@ -430,6 +430,13 @@ class TestExactRationals:
     """Payoffs and utilities stay exact rationals, kept as ``int`` when
     integral, and every value equals the one reached from ``Fraction`` inputs."""
 
+    def test_configurations_compare_by_value_not_number_type(self):
+        a, b = Configuration("s", (2, 0)), Configuration("s", (F(2), F(0)))
+        assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+        c, d = Configuration("s", (F(1, 2), 0)), Configuration("s", (F(2, 4), F(0)))
+        assert c == d and hash(c) == hash(d)
+        assert a != Configuration("t", (2, 0)) and a != c
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_explored_utilities(self, seed):
         ints = 0
