@@ -49,7 +49,7 @@ class Configuration(NamedTuple):
 
 
 def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:
-    if state not in m.states:
+    if state not in m.state_set:
         raise InvalidState(state)
     if utilities is None:
         utilities = (0,) * len(m.agents)
@@ -64,7 +64,7 @@ def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:
 
 def enabled_actions(m: Gcgmp, c: Configuration, agent: str) -> frozenset[str]:
     """Actions available to ``agent`` whose guard accepts the current utility."""
-    if c.state not in m.states:
+    if c.state not in m.state_set:
         raise InvalidState(c.state)
     idx = m.agent_index(agent)
     return frozenset(m.enabled_actions(agent, c.state, c.utilities[idx]))

@@ -12,7 +12,8 @@ propositions labelling states) with
 Models are plain frozen dataclasses; `validate` reports every problem it can
 find rather than stopping at the first.
 
-The JSON file format writes rationals as strings ("-3/2").  Two dialects
+The JSON file format writes rationals as strings ("-3/2") and reads JSON
+integers too, but never a JSON float or boolean.  Two dialects
 are read, told apart per field by whether ``transitions``, ``payoffs`` and
 ``guards`` are mappings or lists:
 
@@ -94,12 +95,20 @@ class Gcgmp:
         """Every d is 0 or 1: a repeated configuration closes a lasso."""
         return not self.step_indexed
 
+    def __post_init__(self):
+        # O(1) name lookups, stored at construction: on CPython 3.11 anything
+        # written into an instance's __dict__ later (as a cached_property does)
+        # makes every attribute read on that instance about three times slower
+        object.__setattr__(self, "state_set", frozenset(self.states))
+        object.__setattr__(self, "agent_positions",  # a repeated name keeps its first index
+                           {a: i for i, a in reversed(tuple(enumerate(self.agents)))})
+
     # -- lookups with defaults -------------------------------------------
 
     def agent_index(self, agent: str) -> int:
         try:
-            return self.agents.index(agent)
-        except ValueError:
+            return self.agent_positions[agent]
+        except KeyError:
             raise UnknownAgent(agent) from None
 
     def available_of(self, agent: str, state: str) -> tuple[str, ...]:
@@ -115,7 +124,7 @@ class Gcgmp:
         return self.payoffs[(state, profile)][self.agent_index(agent)]
 
     def label_of(self, state: str) -> frozenset[str]:
-        if state not in self.states:
+        if state not in self.state_set:
             raise InvalidState(state)
         return self.labels.get(state, frozenset())
 
@@ -163,6 +172,10 @@ def validate(m: Gcgmp) -> list[Violation]:
     def bad(kind, subject, message, witness=None):
         out.append(Violation(kind, subject, message, witness))
 
+    # names are looked up in sets built once, so validation is linear in the model's size
+    agents, states, atoms = set(m.agents), m.state_set, set(m.atoms)
+    alphabet = {a: set(acts) for a, acts in m.actions.items()}
+
     if not m.agents:
         bad("no-agents", (), "a model needs at least one agent")
     if not m.states:
@@ -175,20 +188,20 @@ def validate(m: Gcgmp) -> list[Violation]:
         if not m.actions.get(a):
             bad("no-actions", (a,), f"agent {a!r} has an empty action alphabet")
     for a in m.actions:
-        if a not in m.agents:
+        if a not in agents:
             bad("unknown-agent", (a,), f"actions listed for unknown agent {a!r}")
 
     for (a, s), acts in m.available.items():
-        if a not in m.agents:
+        if a not in agents:
             bad("unknown-agent", (a, s), f"availability for unknown agent {a!r}")
             continue
-        if s not in m.states:
+        if s not in states:
             bad("unknown-state", (a, s), f"availability of {a!r} at unknown state {s!r}")
             continue
         if not acts:
             bad("empty-available", (a, s), f"agent {a!r} has no available action at {s!r}")
         for act in acts:
-            if act not in m.actions.get(a, ()):
+            if act not in alphabet.get(a, ()):
                 bad(
                     "unknown-action",
                     (a, s, act),
@@ -198,57 +211,38 @@ def validate(m: Gcgmp) -> list[Violation]:
     valid_profiles: dict[str, set[Profile]] = {
         s: set(m.available_profiles(s)) for s in m.states
     }
+    tables = (("transition", m.transitions, "successor"), ("payoff", m.payoffs, "payoff vector"))
     for s in m.states:
         for prof in sorted(valid_profiles[s]):
-            if (s, prof) not in m.transitions:
-                bad(
-                    "missing-transition",
-                    (s, prof),
-                    f"no successor for profile {','.join(prof)} at {s!r}",
-                )
-            if (s, prof) not in m.payoffs:
-                bad(
-                    "missing-payoff",
-                    (s, prof),
-                    f"no payoff vector for profile {','.join(prof)} at {s!r}",
-                )
-    for (s, prof), target in m.transitions.items():
-        if s not in m.states or prof not in valid_profiles.get(s, set()):
-            bad(
-                "extraneous-transition",
-                (s, prof),
-                f"transition at {s!r} for unavailable profile {','.join(prof)}",
-            )
-        elif target not in m.states:
-            bad("unknown-state", (s, prof), f"transition target {target!r} is not a state")
-    for (s, prof), vec in m.payoffs.items():
-        if s not in m.states or prof not in valid_profiles.get(s, set()):
-            bad(
-                "extraneous-payoff",
-                (s, prof),
-                f"payoff at {s!r} for unavailable profile {','.join(prof)}",
-            )
-        elif len(vec) != len(m.agents):
-            bad(
-                "payoff-arity",
-                (s, prof),
-                f"payoff vector at {s!r}/{','.join(prof)} has {len(vec)} entries, "
-                f"expected {len(m.agents)}",
-            )
+            for what, table, noun in tables:
+                if (s, prof) not in table:
+                    bad(f"missing-{what}", (s, prof),
+                        f"no {noun} for profile {','.join(prof)} at {s!r}")
+    for what, table, _ in tables:
+        for (s, prof), value in table.items():
+            if prof not in valid_profiles.get(s, ()):
+                bad(f"extraneous-{what}", (s, prof),
+                    f"{what} at {s!r} for unavailable profile {','.join(prof)}")
+            elif what == "transition" and value not in states:
+                bad("unknown-state", (s, prof), f"transition target {value!r} is not a state")
+            elif what == "payoff" and len(value) != len(m.agents):
+                bad("payoff-arity", (s, prof),
+                    f"payoff vector at {s!r}/{','.join(prof)} has {len(value)} entries, "
+                    f"expected {len(m.agents)}")
 
     for s, lab in m.labels.items():
-        if s not in m.states:
+        if s not in states:
             bad("unknown-state", (s,), f"labelling for unknown state {s!r}")
         for p in sorted(lab):
-            if p not in m.atoms:
+            if p not in atoms:
                 bad("unknown-atom", (s, p), f"state {s!r} labelled with undeclared atom {p!r}")
 
     for (a, s, act), g in m.guards.items():
-        if a not in m.agents or s not in m.states:
-            bad("unknown-agent" if a not in m.agents else "unknown-state", (a, s, act),
+        if a not in agents or s not in states:
+            bad("unknown-agent" if a not in agents else "unknown-state", (a, s, act),
                 f"guard for unknown agent/state ({a!r}, {s!r})")
             continue
-        if act not in m.actions.get(a, ()):
+        if act not in alphabet.get(a, ()):
             bad("unknown-action", (a, s, act),
                 f"guard of {a!r} at {s!r} for action {act!r} outside its alphabet")
             continue
@@ -268,6 +262,8 @@ def validate(m: Gcgmp) -> list[Violation]:
             acts = m.available_of(a, s)
             if not acts:
                 continue  # already reported as empty-available
+            if any((a, s, act) not in m.guards for act in acts):
+                continue  # an unguarded action is always enabled
             gs = [m.guard_of(a, s, act) for act in acts]
             if any(arith.acf_variables(g) - {a} for g in gs):
                 continue  # foreign variables already reported; totality undecidable here
@@ -290,7 +286,7 @@ def validate(m: Gcgmp) -> list[Violation]:
         elif not (0 <= d <= 1):
             bad("bad-discount", (a,), f"discount of {a!r} is {d}, outside [0, 1]")
     for a in m.discounts:
-        if a not in m.agents:
+        if a not in agents:
             bad("unknown-agent", (a,), f"discount listed for unknown agent {a!r}")
 
     if m.value_semantics is ValueSemantics.DISCOUNTED:
@@ -313,24 +309,31 @@ _FIELDS = {
 }
 
 
+def _is_map(x) -> bool:
+    return type(x) is dict or isinstance(x, Mapping)  # dict first: the ABC test is slow
+
+
 def _field(row, key, where, name=False):
     """``row[key]``; with ``name``, it must be a string, as every name is."""
-    if not isinstance(row, Mapping) or key not in row:
+    if not _is_map(row) or key not in row:
         raise ParseError(f"{where}: missing {key!r}")
     if name and not isinstance(row[key], str):
         raise ParseError(f"{where}: {key!r} {row[key]!r} is not a name")
     return row[key]
 
 
-def _rational(x, where) -> Fraction:
-    try:
-        return Fraction(x)
+def _rational(x, where) -> Rational:
+    """A JSON integer or a string such as "-3/2", exactly; never a float or a boolean."""
+    if type(x) in (float, bool):
+        raise ParseError(f'{where}: {json.dumps(x)} is not exact, write a string such as "1/10"')
+    try:  # int() sits inside: it refuses strings of more than 4300 digits
+        return int(x) if type(x) is int or type(x) is str and x.isdecimal() else exact(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: {x!r} is not a rational") from None
 
 
 def _mapping(x, where) -> Mapping:
-    if not isinstance(x, Mapping):
+    if not _is_map(x):
         raise ParseError(f"{where}: expected a mapping, got {type(x).__name__}")
     return x
 
@@ -346,15 +349,15 @@ def _names(x, where) -> tuple:
 
 def _profile_from_map(agents, entry, where) -> Profile:
     """An action profile written as a {agent: action} map covering every agent."""
-    if not isinstance(entry, Mapping):
+    if not _is_map(entry):
         raise ParseError(f"{where}: profile must map agents to actions")
-    extra = sorted(set(entry) - set(agents))
-    if extra:
-        raise UnknownIdentifier(
-            f"{where}: profile names undeclared agents: {', '.join(extra)}"
-        )
-    missing = [a for a in agents if a not in entry]
-    if missing:
+    if len(entry) != len(agents) or not all(a in entry for a in agents):
+        extra = sorted(entry.keys() - agents)
+        if extra:
+            raise UnknownIdentifier(
+                f"{where}: profile names undeclared agents: {', '.join(extra)}"
+            )
+        missing = [a for a in agents if a not in entry]
         raise ParseError(f"{where}: profile misses agents: {', '.join(missing)}")
     return _names([entry[a] for a in agents], where)
 
@@ -380,15 +383,15 @@ def _is_rows(table) -> bool:
 
 def _load_transitions(agents, table) -> dict[tuple[str, Profile], str]:
     if not _is_rows(table):
-        return {
-            (s, prof): target for s, prof, target in _per_profile(agents, table, "transitions")
-        }
+        triples = list(_per_profile(agents, table, "transitions"))
+        _names([target for _, _, target in triples], "transition targets")
+        return {(s, prof): target for s, prof, target in triples}
     transitions = {}
     for row in table:
         s = _field(row, "from", "transition", name=True)
         where = f"transition from {s!r}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
-        transitions[(s, prof)] = _field(row, "to", where)
+        transitions[(s, prof)] = _field(row, "to", where, name=True)
     return transitions
 
 
@@ -399,20 +402,20 @@ def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Rational, ..
             where = f"payoff at {s!r}/{','.join(prof)}"
             if not isinstance(vec, (list, tuple)):
                 raise ParseError(f"{where}: expected a list of rationals")
-            payoffs[(s, prof)] = tuple(exact(_rational(x, where)) for x in vec)
+            payoffs[(s, prof)] = tuple(_rational(x, where) for x in vec)
         return payoffs
     for row in table:
         s = _field(row, "state", "payoff", name=True)
         where = f"payoff at {s!r}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
         values = _mapping(_field(row, "values", where), where)
-        extra = sorted(set(values) - set(agents))
+        extra = sorted(values.keys() - agents)
         if extra:
             raise UnknownIdentifier(
                 f"{where} has values for undeclared agents: {', '.join(extra)}"
             )
         payoffs[(s, prof)] = tuple(
-            exact(_rational(values[a], where)) for a in agents if a in values
+            _rational(values[a], where) for a in agents if a in values
         )
     return payoffs
 
@@ -477,7 +480,7 @@ def model_from_dict(doc: dict) -> Gcgmp:
             f"declared atoms {declared!r} differ from the union of the labels {atoms!r}"
         )
     discounts = {
-        a: _rational(x, f"discount of {a!r}")
+        a: Fraction(_rational(x, f"discount of {a!r}"))
         for a, x in _mapping(doc.get("discounts", {}), "discounts").items()
     }
     for a in agents:

@@ -151,6 +151,25 @@ class TestValidate:
         assert "bad model file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "check", "simulate"])
+    @pytest.mark.parametrize(
+        "doc, shown",
+        [
+            ({**incskip_doc(), "payoffs": {"s": {"inc": [0.1], "skip": [0]}}}, "0.1"),
+            ({**incskip_doc(), "payoffs": {"s": {"inc": [True], "skip": [0]}}}, "true"),
+            ({**incskip_doc(), "discounts": {"a": 0.5}}, "0.5"),
+            ({**incskip_doc(), "discounts": {"a": False}}, "false"),
+            (rows_with(("payoffs", 0, "values", "a"), 1.0), "1.0"),
+        ],
+        ids=["float-payoff", "bool-payoff", "float-discount", "bool-discount", "rows-float"],
+    )
+    def test_floats_and_booleans_are_not_rationals(self, capsys, tmp_path, command, doc, shown):
+        formula = ["<<a>> X true"] if command == "check" else []
+        code, report, err = run(capsys, command, write_model(tmp_path, doc), *formula)
+        assert (code, report) == (2, None)
+        assert f'{shown} is not exact, write a string such as "1/10"' in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -876,6 +895,20 @@ class TestExitCodeContract:
     @example(doc=rows_with(("guards", 0, "action"), ["inc"]),
              formula="<<a>> X true", init="s", engine="auto")
     @example(doc=rows_with(("transitions", 1, "profile", "a"), {"skip": 0}),
+             formula="<<a>> X true", init="s", engine="auto")
+    # a float or a boolean where a rational belongs
+    @example(doc=rows_with(("payoffs", 0, "values", "a"), 0.1),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc={**incskip_doc(), "payoffs": {"s": {"inc": [True], "skip": [0.5]}}},
+             formula="<<a>> G (v_a <= 2)", init="s", engine="bounded")
+    @example(doc={**incskip_doc(), "discounts": {"a": 0.5}},
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc={**incskip_doc(), "discounts": {"a": True}},
+             formula="<<a>> X true", init="s", engine="auto")
+    # a transition target that is not a name
+    @example(doc=rows_with(("transitions", 0, "to"), ["s"]),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc={**incskip_doc(), "transitions": {"s": {"inc": {"s": 1}, "skip": "s"}}},
              formula="<<a>> X true", init="s", engine="auto")
     def test_any_input_keeps_the_contract(self, capsys, tmp_path, doc, formula, init, engine):
         path = write_model(tmp_path, doc)

@@ -1,12 +1,20 @@
 import dataclasses
+import hashlib
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcgmp import arith
+from gcgmp.checker import check_atl
+from gcgmp.logic import bind_formula, parse_formula
 from gcgmp.errors import InvalidState, ParseError, UnknownAgent, UnknownIdentifier
 from gcgmp.model import (
     ValueSemantics,
+    _rational,
     builtin_fig1,
     dump_model,
     load_model,
@@ -91,6 +99,35 @@ class TestLoading:
         doc["actions"] = {"a": ["go", "x,y"]}
         with pytest.raises(ParseError, match="','"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("target", [["s"], {"s": 1}, 1, None])
+    def test_transition_target_must_be_a_name(self, target):
+        rows = tiny_doc()
+        rows["transitions"][0]["to"] = target
+        nested = model_to_dict(model_from_dict(tiny_doc()))
+        nested["transitions"]["s"]["go"] = target
+        for doc in (rows, nested):
+            with pytest.raises(ParseError, match="is not a name"):
+                model_from_dict(doc)
+
+    @pytest.mark.parametrize("number", [0.5, 1.0, True, False])
+    def test_floats_and_booleans_are_not_rationals(self, number):
+        doc = tiny_doc()
+        doc["payoffs"][0]["values"] = {"a": number}
+        with pytest.raises(ParseError, match='is not exact, write a string such as "1/10"'):
+            model_from_dict(doc)
+        doc = tiny_doc()
+        doc["discounts"] = {"a": number}
+        with pytest.raises(ParseError, match="discount of 'a'"):
+            model_from_dict(doc)
+
+    def test_json_integers_are_rationals(self):
+        doc = tiny_doc()
+        doc["payoffs"][0]["values"] = {"a": -3}
+        doc["discounts"] = {"a": 0}
+        m = model_from_dict(doc)
+        assert m.payoffs[("s", ("go",))] == (-3,) and type(m.payoffs[("s", ("go",))][0]) is int
+        assert m.discounts == {"a": F(0)} and type(m.discounts["a"]) is F
 
     def test_bad_guard_surfaces_parse_error(self):
         doc = tiny_doc()
@@ -313,3 +350,192 @@ class TestBuiltinModel:
         assert fmt("II", "s2", "D") == "v_II > 0 | v_II < 0"
         assert fmt("I", "s3", "C") == "v_I >= 0 | v_I < 0"
         assert fmt("II", "s3", "D") == "v_II > 0 | v_II < 0"
+
+
+# --- validate's output, pinned on a seeded population ------------------------
+
+VIOLATION_KINDS = {
+    "no-agents", "no-states", "duplicate-agent", "duplicate-state", "duplicate-atom",
+    "no-actions", "unknown-agent", "unknown-state", "empty-available", "unknown-action",
+    "missing-transition", "missing-payoff", "extraneous-transition", "extraneous-payoff",
+    "payoff-arity", "unknown-atom", "guard-foreign-variable", "guard-gap",
+    "missing-discount", "bad-discount", "discount-not-contractive",
+}
+
+
+def two_agent_doc():
+    """Agents a, b at states s, t, u; guarded at s (a) and t (b); labelled."""
+    acts = {"a": ["inc", "skip"], "b": ["go", "wait"]}
+    trans, pays = {}, {}
+    for i, s in enumerate(["s", "t", "u"]):
+        for x in acts["a"]:
+            for y in acts["b"]:
+                trans.setdefault(s, {})[f"{x},{y}"] = ["s", "t", "u"][(i + (y == "go")) % 3]
+                pays.setdefault(s, {})[f"{x},{y}"] = [str(i + (x == "inc")), "-1/2"]
+    return {
+        "agents": ["a", "b"], "states": ["s", "t", "u"],
+        "actions": {"a": ["inc", "skip", "stop"], "b": ["go", "wait"]},
+        "available": {st: acts for st in ["s", "t", "u"]},
+        "transitions": trans, "payoffs": pays,
+        "labels": {"s": ["p"], "t": ["p", "q"]},
+        "guards": {"a": {"s": {"inc": "v_a >= 1", "skip": "v_a < 1"}},
+                   "b": {"t": {"go": "v_b > 0", "wait": "v_b <= 0"}}},
+        "discounts": {"a": "1/2", "b": "1"},
+        "value_semantics": "total",
+    }
+
+
+def _corrupt(m, rng):
+    """``m`` with one more defect of a kind `validate` reports, picked by ``rng``."""
+    pick = rng.choice
+    a, s = pick(m.agents or ("a",)), pick(m.states or ("s",))
+    act = pick(["inc", "skip", "go", "fly"])
+    kind = rng.randrange(13)
+    if kind == 0:  # a name declared twice, or no names at all
+        field = pick(["agents", "states", "atoms"])
+        seq = getattr(m, field)
+        return dataclasses.replace(m, **{field: seq + seq[:1] if rng.random() < 0.8 else ()})
+    if kind == 1:  # an empty alphabet, maybe of an unknown agent
+        return dataclasses.replace(m, actions={**m.actions, pick(["z", a]): ()})
+    if kind == 2:  # an entry dropped from some table
+        table = pick(["transitions", "payoffs", "available", "guards", "labels", "discounts"])
+        rows = dict(getattr(m, table))
+        if rows:
+            rows.pop(pick(sorted(rows, key=repr)))
+        return dataclasses.replace(m, **{table: rows})
+    if kind == 3:  # availability of unknown agents, states or actions, or of none
+        key = (pick(["z", a]), pick(["nowhere", s]))
+        acts = pick([(), (act,), ("inc", "skip")])
+        return dataclasses.replace(m, available={**m.available, key: acts})
+    if kind == 4:  # a transition and a payoff for a profile that may not exist
+        prof = (act, pick(["go", "wait", "fly"]), *(["x"] if rng.random() < 0.2 else []))
+        key = (pick([s, "nowhere"]), prof)
+        return dataclasses.replace(m, transitions={**m.transitions, key: pick([s, "nowhere"])},
+                                   payoffs={**m.payoffs, key: (1,) * rng.randrange(4)})
+    if kind == 5 and m.payoffs:  # a payoff vector one entry too long
+        key = pick(sorted(m.payoffs))
+        vec = m.payoffs[key]
+        return dataclasses.replace(m, payoffs={**m.payoffs, key: vec[:1] + vec})
+    if kind == 6:  # labels with undeclared atoms, maybe at an unknown state
+        lab = frozenset(pick([["p"], ["r"], [], ["q", "r"]]))
+        return dataclasses.replace(m, labels={**m.labels, pick([s, "nowhere"]): lab})
+    if kind in (7, 8):  # one guard, maybe foreign, gapped or misplaced
+        key = (pick([a, a, "z"]), pick([s, s, "nowhere"]), pick([act, "inc", "go"]))
+        return dataclasses.replace(m, guards={**m.guards, key: arith.parse_acf(pick(GUARDS))})
+    if kind == 9:  # a discount out of range, or for an unknown agent
+        d = pick([F(3, 2), F(-1), F(0), F(1), F(1, 3)])
+        return dataclasses.replace(m, discounts={**m.discounts, pick([a, "z"]): d})
+    if kind == 10:  # a discount missing
+        return dataclasses.replace(m, discounts={k: d for k, d in m.discounts.items() if k != a})
+    if kind == 11:
+        return dataclasses.replace(m, value_semantics=pick(list(ValueSemantics)))
+    # every available action guarded on the agent's own utility: a gap or not
+    own = [t.replace("v_a", f"v_{a}") for t in GUARDS if "v_b" not in t]
+    guards = {(a, s, x): arith.parse_acf(pick(own)) for x in m.available_of(a, s)}
+    return dataclasses.replace(m, guards={**m.guards, **guards})
+
+
+GUARDS = ["v_a > 0", "v_a <= 2", "v_b >= 1", "v_a < 0 | v_a > 1", "v_a + v_b > 0",
+          "v_a + v_a = 1", "0 = 0", "v_b < 1/2"]
+
+
+def corrupted_models(seed, count):
+    rng = random.Random(seed)
+    base = model_from_dict(two_agent_doc())
+    for _ in range(count):
+        m = base
+        for _ in range(rng.randint(1, 4)):
+            m = _corrupt(m, rng)
+        yield m
+
+
+def violations_digest(models):
+    h = hashlib.sha256()
+    for m in models:
+        rows = [(v.kind, v.subject, v.message, v.witness) for v in validate(m)]
+        h.update(repr(rows).encode())
+    return h.hexdigest()
+
+
+# recorded on the tuple-scanning validate that the set lookups replaced
+VALIDATE_DIGEST = "df302aa66da2da86600cedcf52dc5aac224083bb09e98de20888e707f393954c"
+
+
+class TestValidatePinned:
+    def test_base_model_is_clean(self):
+        assert validate(model_from_dict(two_agent_doc())) == []
+
+    def test_population_covers_every_kind(self):
+        seen = {v.kind for m in corrupted_models(7, 400) for v in validate(m)}
+        assert seen == VIOLATION_KINDS
+
+    def test_violations_are_pinned(self):
+        assert violations_digest(corrupted_models(7, 400)) == VALIDATE_DIGEST
+
+
+# --- rationals: the integer fast path agrees with Fraction ---------------------
+
+_NUMERALS = st.lists(
+    st.sampled_from(["-", "+", " ", "\t", "0", "1", "7", "12", "_", "1_000", "e", "e2",
+                     ".", "/", "/0", "٣", "１", "²", "①", "Ⅻ", "x", "nan", "inf"]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_NUMERALS)
+@example(text="٣")  # an Arabic-Indic digit: accepted as 3 by both
+@example(text="²")  # isdigit() but not isdecimal(): both refuse
+@example(text="1" * 5000)  # past int()'s digit limit: both refuse
+@example(text="1/0")
+def test_rationals_agree_with_fraction(text):
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    try:
+        got = _rational(text, "here")
+    except ParseError:
+        got = None
+    assert got == want
+    if want is not None:
+        assert type(got) is (int if want.denominator == 1 else F)
+
+
+# --- scale: the model layer is linear in the model's size ----------------------
+
+
+def ring_doc(n):
+    """Turn-based ring r0..r{n-1} in the row dialect: A may stay or advance
+    everywhere but at two states owned by B; r0 is labelled ``goal``."""
+    owner_b = {n // 2, 3 * n // 4}
+    avail, trans, pays = {}, [], []
+    for i in range(n):
+        s, nxt = f"r{i}", f"r{(i + 1) % n}"
+        moves = {"A": ["stay", "go"], "B": ["wait"]}
+        if i in owner_b:
+            moves = {"A": ["wait"], "B": ["stay", "go"]}
+        avail[s] = moves
+        for a_act in moves["A"]:
+            for b_act in moves["B"]:
+                prof = {"A": a_act, "B": b_act}
+                trans.append({"from": s, "profile": prof,
+                              "to": nxt if "go" in (a_act, b_act) else s})
+                pays.append({"state": s, "profile": prof, "values": {"A": "0", "B": "0"}})
+    return {
+        "agents": ["A", "B"], "states": [f"r{i}" for i in reversed(range(n))],
+        "actions": {"A": ["go", "stay", "wait"], "B": ["go", "stay", "wait"]},
+        "available": avail, "transitions": trans, "payoffs": pays,
+        "labels": {"r0": ["goal"]}, "guards": [], "value_semantics": "total",
+    }
+
+
+def test_a_large_ring_loads_validates_and_checks_in_linear_time():
+    doc = ring_doc(10_000)
+    start = time.perf_counter()
+    m = model_from_dict(doc)
+    assert validate(m) == []
+    goal = check_atl(m, bind_formula(m, parse_formula("goal")))
+    elapsed = time.perf_counter() - start
+    assert goal == {"r0"}
+    assert elapsed < 3.0, f"{elapsed:.2f} s for 10,000 states"
