@@ -1274,8 +1274,11 @@ def enumerate_oracle(
     plays out every opponent behaviour of the stated class, and evaluates
     the body positionally on each outcome play, both on the literal play
     checker that witness replay shares.  No pruning, no deepening, no
-    backjumping — just the definitions.  One enumeration may enter 60,000
-    nodes over all its tables and modalities; past that it is TooLarge.
+    backjumping — just the definitions.  A table grows where a walk meets a
+    new point, and the walk goes on.  The 60,000-node budget, over all tables
+    and modalities, counts the nodes of the enumeration that walks again from
+    the root on each growth: the nodes it would re-enter are charged without
+    being walked.  Past the budget the call is TooLarge.
     The root's utilities go through ``arith.exact``, as in the engines.
     """
     if len(m.states) > 4:
@@ -1288,10 +1291,12 @@ def enumerate_oracle(
     _check_supported(f)
     c0 = Configuration(c0.state, tuple(map(exact, c0.utilities)))
     memo: dict = {}
-    entered = itertools.count(1)
+    spent = 0
 
     def spend():
-        if next(entered) > 60_000:
+        nonlocal spent
+        spent += 1
+        if spent > 60_000:
             raise TooLarge("oracle enumeration exceeded its play budget")
 
     def eval_sf(g, c, l) -> Vb:
@@ -1330,7 +1335,26 @@ def enumerate_oracle(
         alts: dict = {}
 
         def move_of(configs):
-            return sigma[_strategy_key(sp, configs)]  # KeyError: grow the table
+            nonlocal base
+            key = _strategy_key(sp, configs)
+            move = sigma.get(key)
+            if move is None:  # a new consultation point: grow the table here
+                # the last observation: a bare state or a configuration
+                last = key if isinstance(key, (str, Configuration)) else key[-1]
+                pools = ([lit.enabled(last, i) for i in mi] if isinstance(last, Configuration)
+                         else [m.available_of(m.agents[i], last) for i in mi])
+                options = list(itertools.product(*pools))
+                if not options:
+                    options = [tuple("?" for _ in mi)]  # always invalid
+                sigma[key] = move = options[0]
+                alts[key] = options
+                order.append(key)
+                # a walk begun again from the root would re-enter, on cached
+                # steps, every node this walk has entered: charge them unwalked
+                redo, base = spent - base, spent
+                for _ in range(redo):
+                    lit.spend()
+            return move
 
         def next_assignment() -> bool:
             while order:
@@ -1346,28 +1370,14 @@ def enumerate_oracle(
 
         any_unknown_sigma = False
         while True:
-            # evaluate the current (partial) table, growing it on demand
-            try:
-                verdict: Vb = True
-                for configs, profiles, loop, cut in lit.plays(coop, croot, l0, move_of):
-                    verdict = k_and(
-                        verdict, lit.value(body, configs, profiles, loop, l0, sp_pr, cut)
-                    )
-                    if verdict is False:
-                        break
-            except KeyError as e:  # a new consultation point appeared
-                key = e.args[0]
-                # the last observation: a bare state or a configuration
-                last = key if isinstance(key, (str, Configuration)) else key[-1]
-                pools = ([lit.enabled(last, i) for i in mi] if isinstance(last, Configuration)
-                         else [m.available_of(m.agents[i], last) for i in mi])
-                options = list(itertools.product(*pools))
-                if not options:
-                    options = [tuple("?" for _ in mi)]  # always invalid
-                sigma[key] = options[0]
-                alts[key] = options
-                order.append(key)
-                continue
+            # evaluate the current (partial) table, growing it on demand;
+            # base: the budget spent before this walk, plus what it was charged
+            base = spent
+            verdict: Vb = True
+            for configs, profiles, loop, cut in lit.plays(coop, croot, l0, move_of):
+                verdict = k_and(verdict, lit.value(body, configs, profiles, loop, l0, sp_pr, cut))
+                if verdict is False:
+                    break
             if verdict is True:
                 return True
             if verdict is None:

@@ -23,7 +23,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .checker import ENGINES, check, observation_key
 
@@ -51,6 +50,7 @@ from .logic import (
 )
 from .model import (
     ValueSemantics,
+    _rational,
     builtin_fig1,
     dump_model,
     load_model,
@@ -124,10 +124,11 @@ def _parse_init(m, text: str | None):
         raise CliInputError(f"unknown initial state {state!r}")
     if not sep or not rest.strip():
         return initial_config(m, state)
-    try:
-        utilities = [Fraction(part.strip()) for part in rest.split(",")]
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliInputError(f"bad initial utilities {rest!r}: {e}") from e
+    try:  # names the bad part as the model loader does
+        utilities = [_rational(part.strip(), f"bad initial utilities {rest!r}")
+                     for part in rest.split(",")]
+    except ParseError as e:
+        raise CliInputError(str(e)) from e
     if len(utilities) != len(m.agents):
         raise CliInputError(
             f"{len(utilities)} initial utilities for {len(m.agents)} agents"

@@ -44,7 +44,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from typing import Iterator
 
@@ -78,30 +77,19 @@ class Gcgmp:
     discounts: Mapping[str, Fraction]
     value_semantics: ValueSemantics = ValueSemantics.TOTAL
 
-    # -- discount classification, computed once and then a plain attribute --
-
-    @cached_property
-    def discount_kinds(self) -> tuple[str, ...]:
-        """Per agent, in agent order: "one", "zero" or "step" (any other d)."""
-        return tuple({1: "one", 0: "zero"}.get(self.discounts[a], "step") for a in self.agents)
-
-    @cached_property
-    def step_indexed(self) -> bool:
-        """Some 0 < d < 1: equal configurations at different steps differ."""
-        return "step" in self.discount_kinds
-
-    @cached_property
-    def lassos_close(self) -> bool:
-        """Every d is 0 or 1: a repeated configuration closes a lasso."""
-        return not self.step_indexed
-
     def __post_init__(self):
-        # O(1) name lookups, stored at construction: on CPython 3.11 anything
-        # written into an instance's __dict__ later (as a cached_property does)
-        # makes every attribute read on that instance about three times slower
+        # all stored at construction: on CPython 3.11 anything written into an
+        # instance's __dict__ later makes every attribute read on it 3x slower
         object.__setattr__(self, "state_set", frozenset(self.states))
         object.__setattr__(self, "agent_positions",  # a repeated name keeps its first index
                            {a: i for i, a in reversed(tuple(enumerate(self.agents)))})
+        # per agent: "one", "zero" or "step" (any other d, or none: validate reports it)
+        kinds = tuple({1: "one", 0: "zero"}.get(self.discounts.get(a), "step") for a in self.agents)
+        object.__setattr__(self, "discount_kinds", kinds)
+        # some 0 < d < 1: equal configurations at different steps differ;
+        # otherwise every d is 0 or 1 and a repeated configuration closes a lasso
+        object.__setattr__(self, "step_indexed", "step" in kinds)
+        object.__setattr__(self, "lassos_close", "step" not in kinds)
 
     # -- lookups with defaults -------------------------------------------
 
@@ -327,7 +315,15 @@ def _rational(x, where) -> Rational:
     if type(x) in (float, bool):
         raise ParseError(f'{where}: {json.dumps(x)} is not exact, write a string such as "1/10"')
     try:  # int() sits inside: it refuses strings of more than 4300 digits
-        return int(x) if type(x) is int or type(x) is str and x.isdecimal() else exact(x)
+        if type(x) is int or type(x) is str and x.isdecimal():
+            return int(x)
+        # and so is an exponent past 4300 refused before Fraction expands it:
+        # "1e100000000000" would otherwise take all memory
+        if type(x) is str:
+            _, e, exponent = x.replace("E", "e").rpartition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise ValueError
+        return exact(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: {x!r} is not a rational") from None
 

@@ -1211,19 +1211,21 @@ def test_oracle_outcomes_are_pinned():
 
 # The oracle's work on criterion 4's stream of instances (seed 20250819,
 # ml-config against ml-config, depth 4): per oracle call, the guarded `step`
-# calls, the `Gcgmp.enabled_actions` calls and the nodes entered (the
-# `spend()` calls its literal checker makes), with the outcome.  The caches
-# may make a call cheaper but never change which calls are made, so none of
-# these may drift.  Fourteen calls of the stream spend the whole play budget
-# and take most of its time: only the cheapest of them is run, the other
-# thirteen are skipped.
+# calls, the `Gcgmp.enabled_actions` calls and the nodes entered or charged
+# (the `spend()` calls its literal checker makes), with the outcome.  The
+# caches may make a call cheaper but never change which calls are made, so
+# none of these may drift.  Fourteen calls of the stream spend the whole play
+# budget and take most of its time: only the cheapest of them is run, the
+# other thirteen are skipped.
 ORACLE_WORK_TOO_LARGE = (4, 33, 44, 64, 74, 76, 95, 98, 109, 156, 173, 186, 196, 222)
 ORACLE_WORK_RUN = 95
 ORACLE_WORK_TOTALS = (3_729, 1_248, 195_623)
 ORACLE_WORK_DIGEST = "7fa0fd6359b23e118c211eb15db024a3ac3fbbbea41dd76e64cc3568d2f17af3"
 
 
-def test_oracle_work_is_pinned(monkeypatch):
+def _count_oracle_work(monkeypatch) -> list:
+    """Counters, reset by the caller: guarded `step` calls, `Gcgmp.enabled_actions`
+    calls and `spend()` calls of every `_Literal` made from now on."""
     work = [0, 0, 0]
 
     def counting(i, fn):
@@ -1237,6 +1239,11 @@ def test_oracle_work_is_pinned(monkeypatch):
     init = checker._Literal.__init__
     monkeypatch.setattr(checker._Literal, "__init__", lambda self, m, so, depth, eval_sf, spend:
                         init(self, m, so, depth, eval_sf, counting(2, spend)))
+    return work
+
+
+def test_oracle_work_is_pinned(monkeypatch):
+    work = _count_oracle_work(monkeypatch)
     rng = random.Random(20250819)
     rows = []
     checked = 0
@@ -1266,6 +1273,84 @@ def test_oracle_work_is_pinned(monkeypatch):
     ran = [r for r in rows if r is not None]
     assert tuple(sum(r[i] for r in ran) for i in range(3)) == ORACLE_WORK_TOTALS
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORACLE_WORK_DIGEST
+
+
+# The same counts under every strategy-class pair: 160 draws of seed
+# 20261023 at depth 4, the 16 pairs in turn, every third model discounted by
+# 1/2.  Proponents look their moves up by configuration (ml-config), by bare
+# state (ml-state) or by history (pr-*), so the table grows through each of
+# its branches.  The values were recorded on the enumeration that walked
+# again from the root after every growth; many walks here meet two or more
+# new points, where only the nodes a walk really entered may be charged.
+ORACLE_PAIRS_WORK_TOO_LARGE = (106, 118, 135)
+ORACLE_PAIRS_WORK_TOTALS = (2_963, 1_258, 199_011)
+ORACLE_PAIRS_WORK_DIGEST = "9f85af7761834f700e40c05d6ee1edf4db0468f09c32cb360fd8572deea7f659"
+
+
+def _oracle_pairs_work(work) -> list:
+    rng = random.Random(20261023)
+    rows = []
+    for i in range(160):
+        m = random_model(rng, i % 2 == 0)
+        if i % 3 == 0:
+            m = dataclasses.replace(m, discounts={"a": F(1, 2), "b": F(1)})
+        try:
+            f = fml(m, random_state_formula(rng, 2))
+        except GcgmpError:
+            continue
+        work[:] = [0, 0, 0]
+        c0 = Configuration(m.states[0], (F(0), F(0)))
+        try:
+            outcome = str(enumerate_oracle(m, c0, f, *CLASS_PAIRS[i % 16], depth=4).value)
+        except GcgmpError as e:
+            outcome = type(e).__name__
+        rows.append((i, *work, outcome))
+    return rows
+
+
+def test_oracle_work_is_pinned_under_every_class_pair(monkeypatch):
+    work = _count_oracle_work(monkeypatch)
+    plays = checker._Literal.plays
+    growths = []  # per walk, the lookups that grew the table (and so charged)
+
+    def counting_plays(self, coop, croot, l0, move_of):
+        grew = [0]
+
+        def counting_move_of(configs):
+            before = work[2]
+            move = move_of(configs)
+            grew[0] += work[2] > before
+            return move
+
+        try:
+            return plays(self, coop, croot, l0, counting_move_of)
+        finally:
+            growths.append(grew[0])
+
+    monkeypatch.setattr(checker._Literal, "plays", counting_plays)
+    rows = _oracle_pairs_work(work)
+    assert max(growths) >= 2
+    assert {i % 16 for i, steps, _, _, _ in rows if steps} == set(range(16))
+    assert tuple(i for i, *_, out in rows if out == "TooLarge") == ORACLE_PAIRS_WORK_TOO_LARGE
+    assert tuple(sum(r[i] for r in rows) for i in (1, 2, 3)) == ORACLE_PAIRS_WORK_TOTALS
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORACLE_PAIRS_WORK_DIGEST
+
+
+def test_a_model_key_error_is_not_a_new_table_entry():
+    # no payoffs: the model's own table raises KeyError at the first step,
+    # and the oracle lets it out at once, as the bounded engine does
+    m = model_from_dict({
+        "agents": ["a", "b"], "states": ["s"], "actions": {"a": ["x", "y"], "b": ["x", "y"]},
+        "transitions": [{"from": "s", "profile": {"a": a, "b": b}, "to": "s"}
+                        for a in "xy" for b in "xy"],
+        "labels": {"s": ["p"]},
+    })
+    assert {v.kind for v in validate(m)} == {"missing-payoff"}
+    c0, f = Configuration("s", (F(0), F(0))), fml(m, "<<a>> G p")
+    with pytest.raises(KeyError):
+        enumerate_oracle(m, c0, f, depth=4)
+    with pytest.raises(KeyError):
+        check_bounded(m, c0, f, budget=Budget(4))
 
 
 # Bounded reports pinned over a seeded population: sha256 of the ordered

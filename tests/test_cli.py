@@ -357,6 +357,14 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "builtin:fig1", "<<I,II>> X p2", "--init", init)
         assert code == 2
 
+    @pytest.mark.parametrize("utilities,bad", [("1/0,0", "1/0"), ("0, x", "x"),
+                                               ("1e100000000000,0", "1e100000000000")])
+    def test_a_bad_initial_utility_is_named(self, capsys, utilities, bad):
+        code, report, err = run(capsys, "check", "builtin:fig1", "<<I>> G p1",
+                                "--init", f"s1:{utilities}")
+        assert (code, report) == (2, None)
+        assert err == f"gcgmp: bad initial utilities {utilities!r}: {bad!r} is not a rational\n"
+
     @pytest.mark.parametrize("engine", ["auto", "bounded"])
     @pytest.mark.parametrize(
         "formula", ["<<I>>(X p1 & G p2)", "<<I>>G X p1", "<<I>>p1", "!<<I>>(G F p1)"]

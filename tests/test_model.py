@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcgmp import arith
-from gcgmp.checker import check_atl
+from gcgmp.checker import Budget, check_atl, check_bounded, enumerate_oracle
+from gcgmp.dynamics import explore, initial_config
 from gcgmp.logic import bind_formula, parse_formula
 from gcgmp.errors import InvalidState, ParseError, UnknownAgent, UnknownIdentifier
 from gcgmp.model import (
@@ -482,14 +484,24 @@ _NUMERALS = st.lists(
 ).map("".join)
 
 
+# a written exponent, as Fraction reads one
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=_NUMERALS)
 @example(text="٣")  # an Arabic-Indic digit: accepted as 3 by both
 @example(text="²")  # isdigit() but not isdecimal(): both refuse
 @example(text="1" * 5000)  # past int()'s digit limit: both refuse
 @example(text="1/0")
+@example(text="1e4300")  # the largest exponent read
+@example(text="1e-4301")  # past it: refused, like a numeral past int()'s limit
+@example(text="-١e1_0001_0001_000")  # refused without expanding 10**100010001000
 def test_rationals_agree_with_fraction(text):
+    exponent = _EXPONENT.search(text)
     try:
+        if exponent and abs(int(exponent[1])) > 4300:
+            raise ValueError
         want = F(text)
     except (ValueError, ZeroDivisionError):
         want = None
@@ -539,3 +551,23 @@ def test_a_large_ring_loads_validates_and_checks_in_linear_time():
     elapsed = time.perf_counter() - start
     assert goal == {"r0"}
     assert elapsed < 3.0, f"{elapsed:.2f} s for 10,000 states"
+
+
+class TestDiscountKinds:
+    def test_a_missing_discount_constructs_and_is_reported(self):
+        m = dataclasses.replace(builtin_fig1(), discounts={"I": F(1)})
+        assert (m.discount_kinds, m.step_indexed, m.lassos_close) == (("one", "step"), True, False)
+        assert [v.kind for v in validate(m)] == ["missing-discount"]
+
+    @pytest.mark.parametrize("discounts", [{"I": F(1), "II": F(0)}, {"I": F(1, 2), "II": F(1)}])
+    def test_the_engines_write_nothing_into_a_model(self, discounts):
+        # anything written into a model's __dict__ after construction makes
+        # every later attribute read on it slower (CPython 3.11)
+        m = dataclasses.replace(builtin_fig1(), discounts=discounts)
+        before = set(vars(m))
+        c0 = initial_config(m, "s1")
+        f = bind_formula(m, parse_formula("<<I>> G (p1 | v_I > 0)"))
+        check_bounded(m, c0, f, budget=Budget(3))
+        enumerate_oracle(m, c0, f, depth=3)
+        explore(m, c0, 3)
+        assert set(vars(m)) == before
