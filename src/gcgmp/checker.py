@@ -23,10 +23,10 @@ in the graph they run it on:
     enumerated lazily through an odometer over consultation points with
     conflict-directed backjumping; opponents branch freely (perfect
     recall) or under per-path commitment (memoryless).  Each sweep after
-    a backjump resumes at a checkpoint of the last one instead of walking
-    again from the root.  A play that revisits a configuration (possible
-    only with 0/1 discounts) closes into a lasso and is judged exactly;
-    open plays at the horizon come back Unknown.  True verdicts carry a
+    a backjump resumes at the checkpoint of the point the backjump moved
+    instead of walking again from the root.  A play that revisits a
+    configuration (possible only with 0/1 discounts) closes into a lasso
+    and is judged exactly; open plays at the horizon come back Unknown.  True verdicts carry a
     replayable strategy table, False verdicts refuted-assignment traces.
 
 ``enumerate_oracle``
@@ -46,7 +46,6 @@ none of the engines' successor or pool code.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections import deque
@@ -171,15 +170,16 @@ class Budget:
     """Exploration limits for the bounded engine.
 
     ``depth`` is the maximal number of transitions along any play;
-    ``max_strategies`` caps how many sweeps (proponent assignments) one
-    coalition node may try; ``max_nodes`` caps the nodes the walks enter
-    per call, over every horizon tried.  A resumed sweep does not enter
-    again the nodes before its checkpoint, so they count once.
+    ``max_nodes`` caps the nodes the walks enter per call, over every
+    horizon tried.  A resumed sweep does not enter again the nodes before
+    its checkpoint, so they count once.
     """
 
     depth: int
-    max_strategies: int = 4000
     max_nodes: int = 2_000_000
+
+
+MAX_SWEEPS = 4000  # sweeps (proponent assignments) one coalition node may try
 
 
 # --- qualitative fixpoints ---------------------------------------------------
@@ -282,10 +282,8 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
             "utility comparisons only"
         )
 
-    def leaf(g) -> frozenset:
-        if isinstance(g, Prop):
-            return frozenset(s for s in m.states if g.name in m.label_of(s))
-        raise FragmentError(f"unsupported node in qualitative checking: {g!r}")
+    def leaf(g) -> frozenset:  # ATL_PURE leaves only propositions here
+        return frozenset(s for s in m.states if g.name in m.label_of(s))
 
     return _fixpoint(f, frozenset(m.states), leaf, lambda co, z: pre_states(m, co, z))
 
@@ -332,9 +330,10 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
                     f"payoff {p} for agent {a!r} at state {s!r} under "
                     f"{prof!r} is negative"
                 )
-    for a, d in m.discounts.items():
-        if d != 1:
-            raise NotMonotone(f"agent {a!r} has discount {d}; saturation needs 1")
+    for a, kind in zip(m.agents, m.discount_kinds):
+        if kind != "one":
+            raise NotMonotone(f"agent {a!r} has discount {m.discounts.get(a)}; "
+                              "saturation needs 1")
     for a, u in zip(m.agents, c0.utilities):
         if u < 0:
             raise NotMonotone(f"start utility {u} for agent {a!r} is negative")
@@ -359,14 +358,12 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
                 pools[nxt] = enabled_pools(m, nxt, cache)
                 queue.append(nxt)
 
-    def leaf(g) -> frozenset:
+    def leaf(g) -> frozenset:  # outside NGL_STAR, a leaf is a proposition or an atom
         if isinstance(g, Prop):
             return frozenset(n for n in pools if g.name in m.label_of(n.state))
-        if isinstance(g, Constraint):
-            return frozenset(
-                n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
-            )
-        raise FragmentError(f"unsupported node in saturation checking: {g!r}")
+        return frozenset(
+            n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
+        )
 
     def pre(coalition, z: frozenset) -> frozenset:
         return _cpre(
@@ -396,6 +393,9 @@ class _Point:
     alts: list  # coalition joint moves enabled where the point was created
     idx: int = 0
     blame: int = 0  # bitmask of the point ids this point's exhaustion blames
+    # (frame, c, l, machine, consulted, n, path_configs, path_profiles,
+    # tau_store, path_index) where the sweep that created the point met it
+    resume: object = None
 
     @property
     def move(self):
@@ -549,17 +549,16 @@ class _CoopSolver:
     A sweep resumes where the backjump lands instead of walking again from
     the root, which keeps the work of the unchanged moves as dynamic
     backtracking does (Ginsberg, JAIR 1993).  The walk is an explicit stack
-    of immutable frames, each linked to its parent.  A consultation whose
-    point id is higher than every id consulted before it in the sweep keeps
-    a checkpoint: the node's folded state, the frame above it and snapshots
-    of the path, its opponent commitments and its position index.  The walk
-    up to that consultation read only lower points, and it is deterministic
-    in their moves.  So after a backjump to point j, the next sweep starts
-    at the first checkpoint whose id is at least j, and at the root if there
-    is none; a checkpoint of j itself is kept for the sweeps after.  Most
-    sweeps walk one or two nodes, so nothing else is copied per sweep: a
-    refuted path only for a kept record, response lists once per
-    configuration.
+    of immutable frames, each linked to its parent.  A point keeps, as its
+    ``resume`` checkpoint, where the sweep that created it met it: the
+    node's folded state, the frame above it and snapshots of the path, its
+    opponent commitments and its position index.  A new point's id exceeds
+    every live one, so the walk up to its checkpoint read only lower
+    points, and it is deterministic in their moves.  A backjump to point j
+    changes j and drops every point above it, so the next sweep starts at
+    j's own checkpoint.  Most sweeps walk one or two nodes, so nothing else
+    is copied per sweep: a refuted path only for a kept record, response
+    lists once per configuration.
     """
 
     def __init__(self, ctx: _Ctx, coop: Coop, c0: Configuration, l0: int, depth: int):
@@ -575,12 +574,7 @@ class _CoopSolver:
         self.index: dict = {}
         self.records: list = []  # (configs, profiles, loop, refutes) per refutation
         self.sweep_consulted: dict = {}  # point ids in first-consulted order
-        # (point id, frame, c, l, machine, consulted, n, path_configs,
-        # path_profiles, tau_store, path_index) at each record-high consultation
-        self.checkpoints: list = []
         self.responses: dict = {}  # id of an interned configuration -> opponent responses
-        self.capped = False  # gave up because of the sweep budget
-        self.saw_refutation = False
 
     # -- odometer ------------------------------------------------------------
 
@@ -633,19 +627,13 @@ class _CoopSolver:
     # -- one sweep -------------------------------------------------------
 
     def solve(self):
-        sweeps = 0
         any_unknown = False
         start = None
-        while True:
-            sweeps += 1
-            if sweeps > self.ctx.budget.max_strategies:
-                self.capped = True
-                return None, None, None
+        for _ in range(MAX_SWEEPS):
             value, conflict, record = self._walk(start)
             if value is True:
                 return True, self._witness(), None
             if value is False:
-                self.saw_refutation = True
                 if len(self.records) < 50:
                     # the path lists are the walk's own; a point with no enabled
                     # coalition move commits to nothing; the moves change on a
@@ -671,16 +659,8 @@ class _CoopSolver:
                 j = self._bump((1 << len(self.points)) - 1)
                 if j is None:
                     return None, None, None
-            # checkpoint ids rise through the sweep; the next one resumes at
-            # the first at or past j and passes all after it again, so those
-            # go.  j's own stays: the walk up to it reads only lower points,
-            # so the next sweep would rebuild it unchanged
-            k = bisect.bisect_left(self.checkpoints, j, key=operator.itemgetter(0))
-            start = self.checkpoints[k] if k < len(self.checkpoints) else None
-            if start is None:
-                self.checkpoints.clear()
-            else:
-                del self.checkpoints[k + 1 if start[0] == j else k :]
+            start = self.points[j].resume
+        return None, None, None
 
     def _witness(self) -> StrategyTable:
         moves: dict[str, dict[str, str]] = {a: {} for a in self.members}
@@ -694,7 +674,7 @@ class _CoopSolver:
     # -- the for-all walk --------------------------------------------------
 
     def _walk(self, start):
-        """One sweep, from the root (``start`` None) or from a checkpoint.
+        """One sweep, from the root (``start`` None) or from a point's checkpoint.
 
         A frame is (parent, c, l, machine, consulted, move, tau_key, push,
         responses, i, unknown): a node being expanded, whose response
@@ -708,9 +688,9 @@ class _CoopSolver:
         depth, members, oi, weave = self.depth, self.members, self.oi, self.weave
         tau_memoryless = bool(oi) and ctx.so.memory is StrategyMemory.MEMORYLESS
         fold = start is None  # a resumed node was entered by the last sweep
-        root = (-1, None, self.c0, self.l0, self.machine0, 0, 0, (self.c0,), (), {},
+        root = (None, self.c0, self.l0, self.machine0, 0, 0, (self.c0,), (), {},
                 {id(self.c0): 0})
-        _, top, c, l, machine, consulted, n, configs, profiles, taus, index = start or root
+        top, c, l, machine, consulted, n, configs, profiles, taus, index = start or root
         path_configs, path_profiles = list(configs), list(profiles)
         # the index may keep entries of branches abandoned before the
         # checkpoint; the descent corrects the one entry it reads
@@ -718,7 +698,6 @@ class _CoopSolver:
         sweep_consulted = self.sweep_consulted
         while len(sweep_consulted) > n:  # back to the checkpoint's, newest first
             sweep_consulted.popitem()
-        high = self.checkpoints[-1][0] if self.checkpoints else -1
 
         def refuted(loop=None):
             return False, consulted, (path_configs, path_profiles, loop)
@@ -776,13 +755,13 @@ class _CoopSolver:
             if v is _OPEN:
                 move, pid, invalid = self._consult(c, path_configs)
                 if pid is not None:
-                    if pid > high:
-                        high = pid
-                        n = len(sweep_consulted) - 1
-                        self.checkpoints.append((
-                            pid, top, c, l, machine, consulted, n, tuple(path_configs),
-                            tuple(path_profiles), dict(tau_store), dict(path_index),
-                        ))
+                    point = self.points[pid]
+                    if point.resume is None:  # created just now
+                        point.resume = (
+                            top, c, l, machine, consulted, len(sweep_consulted) - 1,
+                            tuple(path_configs), tuple(path_profiles), dict(tau_store),
+                            dict(path_index),
+                        )
                     consulted |= 1 << pid
                 if invalid:
                     return refuted()
@@ -865,11 +844,6 @@ class _CoopSolver:
         return None  # X resolves positionally, never via closure
 
 
-def _eval_state(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
-    """Three-valued value of state formula ``g`` at any configuration."""
-    return _eval_interned(ctx, g, ctx.intern(c), l, depth)
-
-
 def _eval_interned(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
     key = (id(g), id(c), l if ctx.m.step_indexed else None)
     hit = ctx.memo.get(key)
@@ -898,10 +872,9 @@ def _eval_state_raw(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
             _eval_interned(ctx, g.left, c, l, depth),
             _eval_interned(ctx, g.right, c, l, depth),
         )
-    if isinstance(g, Coop):
-        value, _, _ = _CoopSolver(ctx, g, c, l, depth).solve()
-        return value
-    raise FragmentError(f"unsupported formula node: {g!r}")
+    # a coalition node: _check_supported admits no other kind of state formula
+    value, _, _ = _CoopSolver(ctx, g, c, l, depth).solve()
+    return value
 
 
 def _ladder(depth: int) -> list[int]:
@@ -937,14 +910,10 @@ def check_bounded(
     ctx = _Ctx(m, sp, so, budget)
     f = ctx.formula(f)
     c0 = ctx.intern(Configuration(c0.state, tuple(map(exact, c0.utilities))))
-    rungs = _ladder(budget.depth)
-    i = 0
-    while i < len(rungs):
-        depth = rungs[i]
+    for depth in _ladder(budget.depth):
         try:
             if isinstance(f, Coop):
-                solver = _CoopSolver(ctx, f, c0, 1, depth)
-                value, witness, records = solver.solve()
+                value, witness, records = _CoopSolver(ctx, f, c0, 1, depth).solve()
                 if value is not None:
                     # traces are built only for the refutations reported
                     return Verdict(
@@ -956,19 +925,12 @@ def check_bounded(
                         ],
                         bound_used=depth,
                     )
-                if solver.capped and not solver.saw_refutation:
-                    # the proponent space blew up without a single refuted
-                    # sweep: intermediate horizons will only blow up again,
-                    # so go straight to the deepest one and hunt for True
-                    i = len(rungs) - 1 if i < len(rungs) - 1 else len(rungs)
-                    continue
             else:
                 value = _eval_interned(ctx, f, c0, 1, depth)
                 if value is not None:
                     return Verdict(value, bound_used=depth)
         except _BudgetStop:
             return Verdict(None, bound_used=depth)
-        i += 1
     return Verdict(None, bound_used=budget.depth)
 
 
@@ -1010,7 +972,7 @@ def _run(engine: str, m: Gcgmp, c0: Configuration, f: Formula, sp, so, budget: B
         got = check_bounded(m, c0, f, sp, so, budget).as_json()
     except NotApplicable as e:
         raise NotApplicable(f"the {engine} engine does not apply: {e}") from e
-    return {"bounds": {"depth": budget.depth, "strategies": budget.max_strategies,
+    return {"bounds": {"depth": budget.depth, "strategies": MAX_SWEEPS,
                        "nodes": budget.max_nodes}, **got}
 
 
@@ -1246,7 +1208,8 @@ def replay_strategy_table(
         move = tuple(table.moves.get(a, {}).get(key) for a in members)
         return None if None in move else move
 
-    lit = _Literal(m, so, depth, lambda g, c, l: _eval_state(ctx, g, c, l, depth), lambda: None)
+    lit = _Literal(m, so, depth, lambda g, c, l: _eval_interned(ctx, g, ctx.intern(c), l, depth),
+                   lambda: None)
     body = _body_machine(f.body)
     # only True counts, so a pumped False needs no downgrade under recall
     return all(

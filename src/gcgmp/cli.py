@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -485,12 +486,18 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise CliInputError(f"--{flag} must be non-negative")
         report, code = args.handler(args)
+        report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+        try:
+            print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+        except OSError as e:  # a full disk, or a pipe closed early
+            # what is left in the buffer goes to devnull, or the
+            # interpreter's exit-time flush would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliInputError(f"cannot write the report: {e}") from e
     except (CliInputError, NotApplicable) as e:
         # one line, even when a name from the input holds a line break
         print(f"gcgmp: {str(e).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2 if isinstance(e, CliInputError) else 3
-    report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

@@ -554,8 +554,10 @@ class TestBounded:
         v = check_bounded(grower, c0, fml(grower, "<<>> w_a >= 2"), budget=Budget(4))
         assert v.value is None
 
-    def test_apc_body_on_cancelling_cycle(self):
-        d = {
+    @staticmethod
+    def cancelling_cycle(semantics="mean"):
+        """From up, a pays 2 on the way to down and -2 on the way back."""
+        return mk({
             "agents": ["a"],
             "states": ["up", "down"],
             "actions": {"a": ["go"]},
@@ -568,11 +570,38 @@ class TestBounded:
                 {"state": "down", "profile": {"a": "go"}, "values": {"a": "-2"}},
             ],
             "labels": {},
-            "value_semantics": "mean",
-        }
-        m = mk(d)
+            "value_semantics": semantics,
+        })
+
+    def test_apc_body_on_cancelling_cycle(self):
+        m = self.cancelling_cycle()
         c0 = Configuration("up", (F(0),))
         assert check_bounded(m, c0, fml(m, "<<>> w_a = 0"), budget=Budget(6)).value is True
+
+    @pytest.mark.parametrize("sp", [ML_CONFIG, PR_CONFIG], ids=["ml-config", "pr-config"])
+    def test_play_value_atoms_agree_with_the_oracle(self, sp):
+        # the oracle values play-value bodies on its literal plays, and a True
+        # witness replays through the same code; under total semantics the
+        # cancelling cycle's partial sums never settle, so its value is unknown
+        models = [
+            (one_agent_loop([("go", 0), ("also", 0)], semantics="mean"), "s"),
+            (one_agent_loop([("go", 2)], semantics="mean"), "s"),  # never closes
+            (self.cancelling_cycle(), "up"),
+            (self.cancelling_cycle("total"), "up"),
+        ]
+        got = []
+        for m, root in models:
+            c0 = Configuration(root, (F(0),))
+            for text in ("<<a>> w_a = 0", "<<a>> w_a >= 1", "<<>> w_a >= 2"):
+                f = fml(m, text)
+                v = check_bounded(m, c0, f, sp, ML_CONFIG, Budget(4))
+                assert enumerate_oracle(m, c0, f, sp, ML_CONFIG, depth=4).value is v.value, text
+                if v.value:
+                    assert replay_strategy_table(m, c0, f, v.witness, ML_CONFIG, 4)
+                got.append(v.value)
+        # a pumped shortfall refutes only a memoryless proponent
+        short = False if sp is ML_CONFIG else None
+        assert got == [True, short, False] + [None] * 3 + [True, short, False] + [None] * 3
 
     def test_empty_coalition_pumping_is_definite_even_with_recall(self):
         m = one_agent_loop([("go", 0)])  # "p" labels nothing: false everywhere
@@ -727,8 +756,8 @@ def test_sweeps_resume_instead_of_replaying(fig1):
 
 # The bounded engine's work per BOUNDED_GOLDEN row, over its whole deepening
 # ladder: nodes entered (`_Ctx.tick` calls, which `Budget.max_nodes` counts)
-# and sweeps (`_CoopSolver._walk` calls, which `Budget.max_strategies`
-# counts).  A faster engine must walk exactly the same search.
+# and sweeps (`_CoopSolver._walk` calls, which `checker.MAX_SWEEPS` caps
+# per solver).  A faster engine must walk exactly the same search.
 BOUNDED_WORK_DIGEST = "1e2c30bbaf4c49a722d1f1c5342bef022ce11f3a49f2a31ae6d2155240820511"
 
 

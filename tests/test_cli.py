@@ -7,6 +7,7 @@ byte-identical across runs except for wall_ms.  Exit codes: 0 completed,
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -952,3 +953,29 @@ class TestExitCodeContract:
             ["simulate", path, f"--init={init}", f"--profile-script={script}"],
             ["export-graph", path, f"--init={init}", "--bound", str(count)],
         )
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full-disk", "closed-pipe"])
+    def test_a_failed_report_write_exits_2(self, sink, buffered):
+        # buffered, the report fails at the interpreter's exit-time flush
+        # unless the program flushes it itself; unbuffered, at the print
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "gcgmp.cli", "check", "builtin:fig1", "<<I>> G p1"]
+        if sink == "full-disk":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "w") as out:
+                proc = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, text=True, env=env)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True,
+                                      env=env)
+            finally:
+                os.close(write)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("gcgmp: cannot write the report: ")
+        assert proc.stderr.count("\n") == 1
