@@ -286,11 +286,6 @@ def validity_counterexample(f: ConstraintFormula):
     return None
 
 
-def check_validity_single_var(f: ConstraintFormula) -> bool:
-    """True iff ``f`` holds for every rational value of its one variable."""
-    return validity_counterexample(f) is None
-
-
 # --- concrete syntax --------------------------------------------------------
 
 _PUNCT = ("<<", ">>", "<=", ">=", "<", ">", "=", "(", ")", "!", "&", "|", "+", ",")

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import arith
 from .arith import _REL_FN, PathConstraint, eval_atom, exact, normalize_atom
-from .arith import check_validity_single_var
 from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
 from .errors import (
     FragmentError,
@@ -185,23 +185,24 @@ MAX_SWEEPS = 4000  # sweeps (proponent assignments) one coalition node may try
 # --- qualitative fixpoints ---------------------------------------------------
 
 
-def _cpre(agents, coalition, nodes, pools_of, succ_of, targets: frozenset) -> frozenset:
-    """Nodes from which the coalition can force the next node into targets.
+def _cpre(agents, coalition, pools, succ, targets: frozenset, among) -> frozenset:
+    """Nodes of ``among`` from which the coalition can force the next node
+    into targets.
 
     The controllable predecessor of Alur, Henzinger & Kupferman (JACM 2002):
     some joint coalition move such that every opponent response leads into
-    ``targets``.  ``pools_of(n)`` lists each agent's actions at ``n`` in
-    ``agents`` order, and ``succ_of(n, profile)`` is the successor.  When no
+    ``targets``.  ``pools[n]`` lists each agent's actions at ``n`` in
+    ``agents`` order, and ``succ[(n, profile)]`` is the successor.  When no
     opponent has an action the coalition wins vacuously; when a member has
     none it loses.
     """
     mi, oi, weave = _split(agents, coalition)
     out = set()
-    for n in nodes:
-        pools = pools_of(n)
-        responses = list(itertools.product(*[pools[i] for i in oi]))
-        for mv in itertools.product(*[pools[i] for i in mi]):
-            if all(succ_of(n, weave(mv + ov)) in targets for ov in responses):
+    for n in among:
+        pool = pools[n]
+        responses = list(itertools.product(*[pool[i] for i in oi]))
+        for mv in itertools.product(*[pool[i] for i in mi]):
+            if all(succ[(n, weave(mv + ov))] in targets for ov in responses):
                 out.add(n)
                 break
     return frozenset(out)
@@ -219,13 +220,16 @@ def _split(agents, coalition) -> tuple:
     return mi, oi, operator.itemgetter(*order)
 
 
-def _fixpoint(f: Formula, every: frozenset, leaf, pre) -> frozenset:
+def _fixpoint(f: Formula, leaf, agents, pools, succ) -> frozenset:
     """Satisfaction set of a state formula whose coalition bodies are X/G/U.
 
-    ``every`` is the node set, ``leaf(g)`` the nodes satisfying a formula
-    without connectives or modalities, and ``pre(coalition, z)`` the
-    controllable predecessor of ``z``.
+    The game is ``pools`` and ``succ`` as ``_cpre`` reads them, and its
+    nodes are the keys of ``pools``; ``leaf(g)`` gives the nodes satisfying
+    a formula without connectives or modalities.  Rounds are semi-naive:
+    ``_cpre`` is monotone, so a node U has won stays won and a node G has
+    lost stays lost, and each round examines only the nodes still open.
     """
+    every = frozenset(pools)
 
     def sat(g) -> frozenset:
         if isinstance(g, Tru):
@@ -235,28 +239,31 @@ def _fixpoint(f: Formula, every: frozenset, leaf, pre) -> frozenset:
         if isinstance(g, And):
             return sat(g.left) & sat(g.right)
         if isinstance(g, Coop):
-            body = g.body
+            body, co = g.body, g.coalition
             if isinstance(body, Next):
-                return pre(g.coalition, sat(body.sub))
-            if isinstance(body, Always):
-                phi = sat(body.sub)
-                z = every
+                return _cpre(agents, co, pools, succ, sat(body.sub), every)
+            if isinstance(body, Always):  # greatest fixpoint, from phi down
+                z = sat(body.sub)
                 while True:
-                    z2 = phi & pre(g.coalition, z)
+                    z2 = _cpre(agents, co, pools, succ, z, z)
                     if z2 == z:
                         return z
                     z = z2
-            if isinstance(body, Until):
-                phi1, phi2 = sat(body.left), sat(body.right)
-                z = frozenset()
+            if isinstance(body, Until):  # least fixpoint, from phi2 up
+                phi1, z = sat(body.left), sat(body.right)
                 while True:
-                    z2 = phi2 | (phi1 & pre(g.coalition, z))
-                    if z2 == z:
+                    won = _cpre(agents, co, pools, succ, z, phi1 - z)
+                    if not won:
                         return z
-                    z = z2
+                    z = z | won
         return leaf(g)
 
     return sat(f)
+
+
+def _state_pools(m: Gcgmp) -> dict:
+    """Each state's available actions per agent, in agent order."""
+    return {s: [m.available_of(a, s) for a in m.agents] for s in m.states}
 
 
 def pre_states(m: Gcgmp, coalition: frozenset, targets: frozenset) -> frozenset:
@@ -264,14 +271,7 @@ def pre_states(m: Gcgmp, coalition: frozenset, targets: frozenset) -> frozenset:
 
     Pure state-graph reasoning: availability only, guards ignored.
     """
-    return _cpre(
-        m.agents,
-        coalition,
-        m.states,
-        lambda s: [m.available_of(a, s) for a in m.agents],
-        lambda s, prof: m.transitions[(s, prof)],
-        targets,
-    )
+    return _cpre(m.agents, coalition, _state_pools(m), m.transitions, targets, m.states)
 
 
 def check_atl(m: Gcgmp, f: Formula) -> frozenset:
@@ -285,7 +285,7 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
     def leaf(g) -> frozenset:  # ATL_PURE leaves only propositions here
         return frozenset(s for s in m.states if g.name in m.label_of(s))
 
-    return _fixpoint(f, frozenset(m.states), leaf, lambda co, z: pre_states(m, co, z))
+    return _fixpoint(f, leaf, m.agents, _state_pools(m), m.transitions)
 
 
 # --- saturation engine -------------------------------------------------------
@@ -365,13 +365,7 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
         )
 
-    def pre(coalition, z: frozenset) -> frozenset:
-        return _cpre(
-            m.agents, coalition, pools, pools.__getitem__,
-            lambda n, prof: succ[(n, prof)], z,
-        )
-
-    return Verdict(root in _fixpoint(f, frozenset(pools), leaf, pre))
+    return Verdict(root in _fixpoint(f, leaf, m.agents, pools, succ))
 
 
 # --- bounded engine ----------------------------------------------------------
@@ -833,15 +827,13 @@ class _CoopSolver:
             return True if machine[2] is True else None
         if kind == "U":
             return machine[3] if machine[3] is not True else None
-        if kind == "APC":
-            play = Play(
-                tuple(path_configs), tuple(path_profiles), j, start_index=self.l0
-            )
-            try:
-                return check_apc_play(self.ctx.m, play, machine[1])
-            except GcgmpError:
-                return None
-        return None  # X resolves positionally, never via closure
+        # an APC body: an X body is valued at position 1, before any lasso
+        # test, so it never reaches the closure
+        play = Play(tuple(path_configs), tuple(path_profiles), j, start_index=self.l0)
+        try:
+            return check_apc_play(self.ctx.m, play, machine[1])
+        except GcgmpError:
+            return None
 
 
 def _eval_interned(ctx: _Ctx, g, c: Configuration, l: int, depth: int) -> Vb:
@@ -960,7 +952,7 @@ def _run(engine: str, m: Gcgmp, c0: Configuration, f: Formula, sp, so, budget: B
     if engine == "atl":
         if classify(f) is not FragmentTag.ATL_PURE:
             raise NotApplicable("the atl engine handles only constraint-free state formulas")
-        if not all(check_validity_single_var(g) for g in m.guards.values()):
+        if not all(arith.validity_counterexample(g) is None for g in m.guards.values()):
             raise NotApplicable("the atl engine ignores guards, so it applies only "
                                 "when every guard always holds")
         winning = check_atl(m, f)

@@ -15,7 +15,6 @@ from gcgmp.arith import (
     PathConstraint,
     Term,
     UtilityVar,
-    check_validity_single_var,
     eval_acf,
     eval_term,
     format_acf,
@@ -108,13 +107,11 @@ class TestNormalize:
 
 class TestValidity:
     def test_sign_cover_is_valid(self):
-        assert check_validity_single_var(parse_acf("v_I >= 0 | v_I < 0"))
+        assert validity_counterexample(parse_acf("v_I >= 0 | v_I < 0")) is None
 
     def test_strict_signs_miss_zero(self):
         f = parse_acf("v_I > 0 | v_I < 0")
-        assert not check_validity_single_var(f)
-        cx = validity_counterexample(f)
-        assert cx == F(0)
+        assert validity_counterexample(f) == F(0)
 
     def test_counterexample_falsifies(self):
         f = parse_acf("v_I < 5 | v_I > 5")
@@ -130,20 +127,20 @@ class TestValidity:
     def test_scaled_thresholds(self):
         # 2x >= 7 fails below 7/2; threshold is the normalized constant's ratio
         f = parse_acf("v_I + v_I >= 7 | v_I < 7/2")
-        assert check_validity_single_var(f)
+        assert validity_counterexample(f) is None
         g = parse_acf("v_I + v_I >= 7 | v_I < 3")
-        assert not check_validity_single_var(g)
+        assert validity_counterexample(g) is not None
 
     def test_variable_free(self):
-        assert check_validity_single_var(parse_acf("0 = 0"))
-        assert not check_validity_single_var(parse_acf("1 > 2"))
+        assert validity_counterexample(parse_acf("0 = 0")) is None
+        assert validity_counterexample(parse_acf("1 > 2")) is not None
 
     def test_two_variables_rejected(self):
         with pytest.raises(MultiVariable):
-            check_validity_single_var(parse_acf("v_I > 0 | v_II < 1"))
+            validity_counterexample(parse_acf("v_I > 0 | v_II < 1"))
 
     def test_tautology_from_negation(self):
-        assert check_validity_single_var(parse_acf("!(v_I > 3 & v_I < 2)"))
+        assert validity_counterexample(parse_acf("!(v_I > 3 & v_I < 2)")) is None
 
 
 class TestParsing:

@@ -42,15 +42,26 @@ from gcgmp.errors import (
     VariableVsVariableAtom,
 )
 from gcgmp.logic import (
+    CHILDREN,
     ML_CONFIG,
     ML_STATE,
     PR_CONFIG,
     PR_STATE,
+    TRUE,
+    Always,
+    And,
+    Coop,
+    Next,
+    Not,
+    Prop,
     StrategyClassSpec,
+    Tru,
+    Until,
     bind_formula,
     parse_formula,
 )
 from gcgmp.model import Gcgmp, builtin_fig1, model_from_dict, validate
+from test_model import ring_doc
 
 
 def mk(d):
@@ -123,6 +134,93 @@ class TestKleene:
 
 
 # --- qualitative engine -----------------------------------------------------
+
+
+def within(g, agents):
+    """``g`` with every coalition cut down to ``agents``."""
+    kids = {k: within(getattr(g, k), agents) for k in CHILDREN.get(type(g), ())}
+    if isinstance(g, Coop):
+        kids["coalition"] = g.coalition & agents
+    return dataclasses.replace(g, **kids) if kids else g
+
+
+_COALITIONS = st.sets(st.sampled_from("abc")).map(frozenset)
+ATL_FORMULAS = st.recursive(  # constraint-free, with X/G/U under any coalition
+    st.sampled_from([TRUE, Prop("p"), Prop("q")]),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.builds(And, kids, kids),
+        st.builds(Coop, _COALITIONS, kids.map(Next)),
+        st.builds(Coop, _COALITIONS, kids.map(Always)),
+        st.builds(Coop, _COALITIONS, st.builds(Until, kids, kids)),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def small_games(draw):
+    """Concurrent games of 1-6 states and 1-3 agents with 1-2 actions each,
+    availability, transitions and labels drawn at random; no guards."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    states, agents = [f"s{i}" for i in range(n)], ["a", "b", "c"][:k]
+    actions = dict(zip(agents, draw(st.lists(st.sampled_from([["x"], ["x", "y"]]),
+                                             min_size=k, max_size=k))))
+    picks = iter(draw(st.lists(st.integers(0, 63), min_size=12 * n, max_size=12 * n)))
+    available, labels, trans, pays = {}, {}, [], []
+    for s in states:
+        for a, acts in actions.items():  # a nonempty subset, as a bitmask
+            bits = next(picks) % ((1 << len(acts)) - 1) + 1
+            available.setdefault(s, {})[a] = [x for i, x in enumerate(acts) if bits >> i & 1]
+        labels[s] = [p for i, p in enumerate("pq") if next(picks) >> i & 1]
+        for prof in itertools.product(*available[s].values()):
+            profile = dict(zip(agents, prof))
+            trans.append({"from": s, "profile": profile, "to": states[next(picks) % n]})
+            pays.append({"state": s, "profile": profile, "values": {a: "0" for a in agents}})
+    return mk({"agents": agents, "states": states, "actions": actions,
+               "available": available, "transitions": trans, "payoffs": pays,
+               "labels": labels, "guards": [], "value_semantics": "total"})
+
+
+def textbook_sat(m, f) -> frozenset:
+    """Satisfaction set by the plain fixpoint iterations: U from the empty set
+    and G from every state, each round scanning every state."""
+    every = frozenset(m.states)
+
+    def cpre(coalition, z):
+        won = set()
+        for s in m.states:
+            outcomes = {}  # the members' part of a profile -> its successors
+            for prof in itertools.product(*(m.available_of(a, s) for a in m.agents)):
+                part = tuple(act for a, act in zip(m.agents, prof) if a in coalition)
+                outcomes.setdefault(part, []).append(m.transitions[(s, prof)])
+            if any(all(t in z for t in ts) for ts in outcomes.values()):
+                won.add(s)
+        return frozenset(won)
+
+    def sat(g):
+        if isinstance(g, Tru):
+            return every
+        if isinstance(g, Prop):
+            return frozenset(s for s in m.states if g.name in m.label_of(s))
+        if isinstance(g, Not):
+            return every - sat(g.sub)
+        if isinstance(g, And):
+            return sat(g.left) & sat(g.right)
+        body = g.body
+        if isinstance(body, Next):
+            return cpre(g.coalition, sat(body.sub))
+        if isinstance(body, Always):
+            keep, z = sat(body.sub), every
+            while (z2 := keep & cpre(g.coalition, z)) != z:
+                z = z2
+            return z
+        phi1, phi2, z = sat(body.left), sat(body.right), frozenset()
+        while (z2 := phi2 | (phi1 & cpre(g.coalition, z))) != z:
+            z = z2
+        return z
+
+    return sat(f)
 
 
 class TestQualitative:
@@ -203,6 +301,37 @@ class TestQualitative:
             assert z2 < z
             z = z2
         assert z == check_atl(fig1, fml(fig1, "<<I>> G p1"))
+
+    @given(small_games(), ATL_FORMULAS)
+    @settings(max_examples=120, deadline=None)
+    def test_fixpoints_match_the_textbook_iteration(self, m, f):
+        f = within(f, frozenset(m.agents))
+        assert check_atl(m, f) == textbook_sat(m, f)
+
+
+def test_fixpoint_rounds_examine_only_open_states(monkeypatch):
+    # one 300-state ring, r0 the goal: each U round examines the states not
+    # yet won and each G round those not yet lost; rescanning every state
+    # each round would examine 90,300 for the grand coalition, not n(n-1)/2
+    m = model_from_dict(ring_doc(300))
+    examined = [0]
+    cpre = checker._cpre
+
+    def counting(agents, coalition, pools, succ, targets, among):
+        examined[0] += len(among)
+        return cpre(agents, coalition, pools, succ, targets, among)
+
+    monkeypatch.setattr(checker, "_cpre", counting)
+    got = {}
+    for text in ["<<A>>(true U goal)", "<<B>> G !goal", "<<A,B>>(true U goal)"]:
+        examined[0] = 0
+        won = check_atl(m, fml(m, text))
+        got[text] = (len(won), examined[0])
+    assert got == {
+        "<<A>>(true U goal)": (75, 19650),
+        "<<B>> G !goal": (225, 19650),
+        "<<A,B>>(true U goal)": (300, 44850),
+    }
 
 
 # --- saturation engine ------------------------------------------------------
