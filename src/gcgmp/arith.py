@@ -489,13 +489,6 @@ def parse_apc_tokens(ts: TokenStream) -> PathConstraint:
     return PathConstraint(agent, tok.kind, bound)
 
 
-def parse_apc(text: str) -> PathConstraint:
-    ts = TokenStream(text)
-    pc = parse_apc_tokens(ts)
-    ts.expect_end()
-    return pc
-
-
 # --- printing ---------------------------------------------------------------
 
 

@@ -167,18 +167,16 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Budget:
-    """Exploration limits for the bounded engine.
-
-    ``depth`` is the maximal number of transitions along any play;
-    ``max_nodes`` caps the nodes the walks enter per call, over every
-    horizon tried.  A resumed sweep does not enter again the nodes before
-    its checkpoint, so they count once.
-    """
+    """The bounded engine's horizon: ``depth`` is the maximal number of
+    transitions along any play.  ``MAX_NODES`` and ``MAX_SWEEPS`` bound its
+    work."""
 
     depth: int
-    max_nodes: int = 2_000_000
 
 
+# nodes the walks of one bounded check may enter, over every horizon tried; a
+# resumed sweep does not enter again the nodes before its checkpoint
+MAX_NODES = 2_000_000
 MAX_SWEEPS = 4000  # sweeps (proponent assignments) one coalition node may try
 
 
@@ -412,7 +410,6 @@ class _Ctx:
     m: Gcgmp
     sp: StrategyClassSpec
     so: StrategyClassSpec
-    budget: Budget
     memo: dict = field(default_factory=dict)
     nodes_used: int = 0
     canon: dict = field(default_factory=dict)
@@ -423,7 +420,7 @@ class _Ctx:
 
     def tick(self):
         self.nodes_used += 1
-        if self.nodes_used > self.budget.max_nodes:
+        if self.nodes_used > MAX_NODES:
             raise _BudgetStop()
 
     def intern(self, c: Configuration) -> Configuration:
@@ -899,7 +896,7 @@ def check_bounded(
     if isinstance(budget, int):
         budget = Budget(budget)
     _check_supported(f)
-    ctx = _Ctx(m, sp, so, budget)
+    ctx = _Ctx(m, sp, so)
     f = ctx.formula(f)
     c0 = ctx.intern(Configuration(c0.state, tuple(map(exact, c0.utilities))))
     for depth in _ladder(budget.depth):
@@ -965,7 +962,7 @@ def _run(engine: str, m: Gcgmp, c0: Configuration, f: Formula, sp, so, budget: B
     except NotApplicable as e:
         raise NotApplicable(f"the {engine} engine does not apply: {e}") from e
     return {"bounds": {"depth": budget.depth, "strategies": MAX_SWEEPS,
-                       "nodes": budget.max_nodes}, **got}
+                       "nodes": MAX_NODES}, **got}
 
 
 def check(m: Gcgmp, c0: Configuration, f: Formula, sp: StrategyClassSpec = ML_CONFIG,
@@ -1191,7 +1188,7 @@ def replay_strategy_table(
     hold on every outcome play within ``depth`` steps.  Nested formulas are
     valued by the bounded engine.  Used to audit True verdicts independently
     of the search that produced them."""
-    ctx = _Ctx(m, table.spec, so, Budget(depth))
+    ctx = _Ctx(m, table.spec, so)
     members = [a for a in m.agents if a in f.coalition]
     c0 = Configuration(c0.state, tuple(map(exact, c0.utilities)))
 

@@ -10,11 +10,12 @@ Step indices count from 1 at the start of a run, so an undiscounted agent
 (d = 1) accumulates raw payoffs while a fully discounted one (d = 0) never
 changes utility.
 
-Infinite runs are represented as *lassos*: a finite configuration sequence
-whose last configuration loops back onto an earlier position.  A lasso is
-*exact* when replaying its cycle reproduces the same configurations forever
-(true when every agent either has discount 1, or accrues nothing over the
-cycle); only exact lassos can be projected beyond their stored prefix.
+Infinite runs are represented as *lassos* (``Play``): a finite configuration
+sequence whose last configuration loops back onto an earlier position.
+States and profiles past the stored prefix fold back into the cycle.  A
+lasso is *exact* when replaying its cycle reproduces the same configurations
+forever (true when every agent either has discount 1, or accrues nothing over
+the cycle); a ``total`` play value exists only on an exact lasso.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ def enabled_pools(m: Gcgmp, c: Configuration, cache: dict) -> tuple:
     return tuple(pools)
 
 
-def enabled_profiles(m: Gcgmp, c: Configuration) -> Iterator[Profile]:
-    """All action profiles whose every component guard accepts ``c``."""
-    return itertools.product(*enabled_pools(m, c, {}))
-
-
 def step(m: Gcgmp, c: Configuration, profile: Profile, step_index: int = 1) -> Configuration:
     """Apply one guarded transition.
 
@@ -124,34 +120,6 @@ def successor(m: Gcgmp, c: Configuration, profile: Profile, step_index: int) -> 
         else:
             us.append(u + m.discounts[a] ** step_index * p)
     return Configuration(m.transitions[(c.state, profile)], tuple(us))
-
-
-@dataclass(frozen=True)
-class History:
-    """A finite guarded run: configurations c_0..c_n and the profiles between."""
-
-    configs: tuple[Configuration, ...]
-    profiles: tuple[Profile, ...]
-    start_index: int = 1  # step index of the first transition
-
-    def __post_init__(self):
-        if len(self.configs) != len(self.profiles) + 1:
-            raise ValueError("a history has one more configuration than profiles")
-
-    @property
-    def current(self) -> Configuration:
-        return self.configs[-1]
-
-    def extend(self, m: Gcgmp, profile: Profile) -> "History":
-        nxt = step(m, self.current, profile, self.start_index + len(self.profiles))
-        return History(self.configs + (nxt,), self.profiles + (profile,), self.start_index)
-
-
-def run_profiles(m: Gcgmp, init: Configuration, profiles, start_index: int = 1) -> History:
-    h = History((init,), (), start_index)
-    for prof in profiles:
-        h = h.extend(m, tuple(prof))
-    return h
 
 
 @dataclass(frozen=True)
@@ -199,10 +167,6 @@ class Play:
         return self.loop + (i - self.loop) % self.cycle_length
 
 
-def from_history(h: History, loop: int) -> Play:
-    return Play(h.configs, h.profiles, loop, h.start_index)
-
-
 def cycle_increments(m: Gcgmp, play: Play, agent: str) -> list[Fraction]:
     """Discounted utility increments the agent sees along one lap of the cycle."""
     d = m.discounts[agent]
@@ -224,50 +188,6 @@ def is_exact_lasso(m: Gcgmp, play: Play) -> bool:
         kind == "one" or not any(cycle_increments(m, play, a))
         for a, kind in zip(m.agents, m.discount_kinds)
     )
-
-
-def project(p, kind: str, i: int, m: Gcgmp | None = None):
-    """Positional projection of a play or history.
-
-    ``kind`` selects what position ``i`` yields: ``"c"`` the configuration,
-    ``"u"`` the utility vector, ``"s"`` the state, ``"a"`` the action profile.
-    Histories are strict about range.  Play positions beyond the stored
-    prefix fold back into the cycle; states and profiles always fold soundly,
-    but configurations and utilities do so only when the cycle actually
-    repeats them, so those kinds insist the closing configuration equals the
-    loop target (and, when a model is supplied, on agents accruing nothing
-    over the cycle unless undiscounted).
-    """
-    if kind not in ("c", "u", "s", "a"):
-        raise ValueError(f"unknown projection kind {kind!r}")
-    if i < 0:
-        raise IndexOutOfRange(f"position {i}")
-    if isinstance(p, History):
-        if kind == "a":
-            if i >= len(p.profiles):
-                raise IndexOutOfRange(f"position {i} of a {len(p.profiles)}-step history")
-            return p.profiles[i]
-        if i >= len(p.configs):
-            raise IndexOutOfRange(f"position {i} of a {len(p.profiles)}-step history")
-        c = p.configs[i]
-    else:
-        if kind == "a":
-            return p.profile_at(i)
-        if i >= len(p.configs) and kind in ("c", "u"):
-            exact = is_exact_lasso(m, p) if m is not None else (
-                p.configs[-1] == p.configs[p.loop]
-            )
-            if not exact:
-                raise NotLasso(
-                    "cycle does not repeat configurations exactly; utilities "
-                    "beyond the stored prefix are undefined"
-                )
-        c = p.configs[p._fold(i)]
-    if kind == "c":
-        return c
-    if kind == "u":
-        return c.utilities
-    return c.state
 
 
 def play_value(m: Gcgmp, play: Play, agent: str) -> Fraction:

@@ -62,7 +62,7 @@ class GuardViolation(GcgmpError):
 
 
 class IndexOutOfRange(GcgmpError):
-    """Projection index beyond the stored prefix of a history or play."""
+    """A negative position in a play."""
 
 
 class NotLasso(GcgmpError):

@@ -238,10 +238,6 @@ def constraint_atoms(f: Formula, m: Gcgmp | None = None) -> list[AtomicConstrain
     return out
 
 
-def path_constraints(f: Formula) -> list[PathConstraint]:
-    return [g.pc for g in subformulas(f) if isinstance(g, Apc)]
-
-
 def formula_props(f: Formula) -> set[str]:
     return {g.name for g in subformulas(f) if isinstance(g, Prop)}
 
@@ -408,26 +404,22 @@ def _fmt(f: Formula, min_level: int) -> str:
     if isinstance(f, Prop):
         return f.name
     if isinstance(f, Constraint):
-        return _wrap(arith.format_atom(f.atom), min_level > 0)
+        return arith._wrap(arith.format_atom(f.atom), min_level > 0)
     if isinstance(f, Apc):
-        return _wrap(arith.format_apc(f.pc), min_level > 0)
+        return arith._wrap(arith.format_apc(f.pc), min_level > 0)
     if isinstance(f, Not):
         return "!" + _fmt(f.sub, 3)
     if isinstance(f, And):
-        return _wrap(f"{_fmt(f.left, 1)} & {_fmt(f.right, 2)}", min_level > 1)
+        return arith._wrap(f"{_fmt(f.left, 1)} & {_fmt(f.right, 2)}", min_level > 1)
     if isinstance(f, Until):
         if f.left == TRUE:
             return "F " + _fmt(f.right, 3)
-        return _wrap(f"{_fmt(f.left, 3)} U {_fmt(f.right, 2)}", min_level > 2)
+        return arith._wrap(f"{_fmt(f.left, 3)} U {_fmt(f.right, 2)}", min_level > 2)
     if isinstance(f, Next):
         return "X " + _fmt(f.sub, 3)
     if isinstance(f, Always):
         return "G " + _fmt(f.sub, 3)
     if isinstance(f, Coop):
         s = f"<<{','.join(sorted(f.coalition))}>>" + _fmt(f.body, 0)
-        return _wrap(s, min_level > 0)
+        return arith._wrap(s, min_level > 0)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(s: str, need: bool) -> str:
-    return f"({s})" if need else s

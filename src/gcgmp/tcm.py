@@ -193,18 +193,18 @@ def enabled_transitions(tcm: TwoCounterMachine, conf: TcmConfiguration) -> list[
     return out
 
 
-def tcm_step(tcm: TwoCounterMachine, conf: TcmConfiguration) -> list[TcmConfiguration]:
-    """All successor configurations, in transition order."""
-    out = []
+def _successors(tcm: TwoCounterMachine, conf: TcmConfiguration):
+    """Each enabled transition's index and the configuration it leads to."""
     for i in enabled_transitions(tcm, conf):
         t = tcm.transitions[i]
-        out.append(
-            TcmConfiguration(
-                t.target,
-                (conf.counters[0] + t.effects[0], conf.counters[1] + t.effects[1]),
-            )
+        yield i, TcmConfiguration(
+            t.target, (conf.counters[0] + t.effects[0], conf.counters[1] + t.effects[1])
         )
-    return out
+
+
+def tcm_step(tcm: TwoCounterMachine, conf: TcmConfiguration) -> list[TcmConfiguration]:
+    """All successor configurations, in transition order."""
+    return [nxt for _, nxt in _successors(tcm, conf)]
 
 
 def halting_search(tcm: TwoCounterMachine, budget: int) -> SearchOutcome:
@@ -222,12 +222,7 @@ def halting_search(tcm: TwoCounterMachine, budget: int) -> SearchOutcome:
         conf, trace, taken = queue.popleft()
         if len(taken) >= budget:
             continue
-        for i in enabled_transitions(tcm, conf):
-            t = tcm.transitions[i]
-            nxt = TcmConfiguration(
-                t.target,
-                (conf.counters[0] + t.effects[0], conf.counters[1] + t.effects[1]),
-            )
+        for i, nxt in _successors(tcm, conf):
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_checker import random_model, random_state_formula
+from test_checker import random_model, random_state_formula, run
 
 from gcgmp import arith, dynamics
 from gcgmp.arith import eval_acf, normalize_atom
@@ -27,7 +27,7 @@ from gcgmp.checker import (
     enumerate_oracle,
 )
 from gcgmp.cli import main
-from gcgmp.dynamics import Configuration, initial_config, run_profiles
+from gcgmp.dynamics import Configuration, Play, initial_config
 from gcgmp.errors import FragmentError, GcgmpError, NotApplicable, TooLarge
 from gcgmp.logic import (
     ML_CONFIG,
@@ -369,7 +369,7 @@ def _halt_reachable(enc):
                 return True
             if not honest(c) or l > 18:
                 continue
-            for prof in dynamics.enabled_profiles(m, c):
+            for prof in itertools.product(*dynamics.enabled_pools(m, c, {})):
                 c2 = dynamics.step(m, c, prof, l)
                 if c2 not in seen:
                     seen.add(c2)
@@ -466,12 +466,13 @@ def test_criterion_7_numerical_identities():
         profiles = [
             (rng.choice(["x", "y"]), "x") for _ in range(rng.randint(2, 6))
         ]
-        h = run_profiles(m, initial_config(m, "s0"), profiles)
-        while h.configs[-1].state not in {c.state for c in h.configs[:-1]}:
-            h = h.extend(m, (rng.choice(["x", "y"]), "x"))
-        last = h.configs[-1].state
-        loop = next(i for i, c in enumerate(h.configs[:-1]) if c.state == last)
-        play = dynamics.from_history(h, loop=loop)
+        configs = run(m, initial_config(m, "s0"), profiles)
+        while configs[-1].state not in {c.state for c in configs[:-1]}:
+            profiles.append((rng.choice(["x", "y"]), "x"))
+            configs.append(dynamics.step(m, configs[-1], profiles[-1], len(profiles)))
+        last = configs[-1].state
+        loop = next(i for i, c in enumerate(configs[:-1]) if c.state == last)
+        play = Play(tuple(configs), tuple(profiles), loop)
         for agent in m.agents:
             d = m.discounts[agent]
             closed = dynamics.play_value(m, play, agent)
@@ -494,21 +495,17 @@ def test_criterion_7_numerical_identities():
         m = dataclasses.replace(m, value_semantics=ValueSemantics.MEAN_LIMIT)
         if validate(m):
             continue
-        c0 = Configuration(m.states[0], (F(0), F(0)))
-        h = dynamics.History((c0,), (), 1)
-        for _ in range(6):
-            prof = sorted(dynamics.enabled_profiles(m, h.current))[0]
-            h = h.extend(m, prof)
-        while h.configs[-1].state not in {c.state for c in h.configs[:-1]}:
-            prof = sorted(dynamics.enabled_profiles(m, h.current))[0]
-            h = h.extend(m, prof)
-        last = h.configs[-1].state
-        loop = next(i for i, c in enumerate(h.configs[:-1]) if c.state == last)
-        play = dynamics.from_history(h, loop=loop)
-        lap = len(h.configs) - 1 - loop
+        configs, profiles = [Configuration(m.states[0], (F(0), F(0)))], []
+        while len(profiles) < 6 or configs[-1].state not in {c.state for c in configs[:-1]}:
+            profiles.append(min(itertools.product(*dynamics.enabled_pools(m, configs[-1], {}))))
+            configs.append(dynamics.step(m, configs[-1], profiles[-1], len(profiles)))
+        last = configs[-1].state
+        loop = next(i for i, c in enumerate(configs[:-1]) if c.state == last)
+        play = Play(tuple(configs), tuple(profiles), loop)
+        lap = len(configs) - 1 - loop
         for agent in m.agents:
             i = m.agent_index(agent)
-            drift = h.configs[-1].utilities[i] - h.configs[loop].utilities[i]
+            drift = configs[-1].utilities[i] - configs[loop].utilities[i]
             assert dynamics.play_value(m, play, agent) == drift / lap
 
     # the saturation verdict is invariant under rescaling all constants

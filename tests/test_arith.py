@@ -18,15 +18,14 @@ from gcgmp.arith import (
     eval_acf,
     eval_term,
     format_acf,
-    format_apc,
     format_term,
     normalize_atom,
     parse_acf,
-    parse_apc,
     term,
     validity_counterexample,
 )
 from gcgmp.errors import MultiVariable, ParseError, UnboundVariable
+from gcgmp.logic import Apc, format_formula, parse_formula
 
 
 def atom(s: str) -> AtomicConstraint:
@@ -145,8 +144,8 @@ class TestValidity:
 
 class TestParsing:
     def test_rationals(self):
-        pc = parse_apc("w_I >= -3/2")
-        assert pc == PathConstraint("I", ">=", F(-3, 2))
+        f = parse_formula("w_I >= -3/2")
+        assert f == Apc(PathConstraint("I", ">=", F(-3, 2)))
 
     def test_precedence_and_binds_tighter(self):
         f = parse_acf("v_I > 0 | v_I < 0 & v_I = 1")
@@ -164,7 +163,7 @@ class TestParsing:
 
     def test_apc_round_trip(self):
         for s in ["w_I > 0", "w_a <= 5/3", "w_II = -2"]:
-            assert format_apc(parse_apc(s)) == s
+            assert format_formula(parse_formula(s)) == s
 
     def test_error_position(self):
         with pytest.raises(ParseError) as e:
@@ -173,7 +172,7 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_acf("v_I > 0 extra")
         with pytest.raises(ParseError):
-            parse_apc("v_I > 0")  # needs a w_ variable
+            parse_formula("w_I > v_I")  # a play value compares with a number
 
     def test_dangling_minus(self):
         with pytest.raises(ParseError):
@@ -186,7 +185,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "parse, text, col",
         [(parse_acf, "v_a >= 1/0", 9), (parse_acf, "2/00 * v_a > 1", 2),
-         (parse_apc, "w_I >= -3/0", 10)],
+         (parse_formula, "w_I >= -3/0", 10)],
     )
     def test_zero_denominator(self, parse, text, col):
         with pytest.raises(ParseError) as e:

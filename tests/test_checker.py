@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcgmp import checker
-from gcgmp.arith import parse_apc
 from gcgmp.checker import (
     Budget,
     StrategyTable,
@@ -30,7 +29,7 @@ from gcgmp.checker import (
     replay_strategy_table,
     saturation_cap,
 )
-from gcgmp.dynamics import Configuration, Play, run_profiles, step
+from gcgmp.dynamics import Configuration, Play, step
 from gcgmp.errors import (
     Divergent,
     FragmentError,
@@ -59,6 +58,7 @@ from gcgmp.logic import (
     Until,
     bind_formula,
     parse_formula,
+    subformulas,
 )
 from gcgmp.model import Gcgmp, builtin_fig1, model_from_dict, validate
 from test_model import ring_doc
@@ -96,6 +96,19 @@ def one_agent_loop(actions_pay, labels=None, semantics=None):
         "value_semantics": semantics or "mean",
     }
     return mk(d)
+
+
+def run(m, c0, profiles) -> list:
+    """The configurations c_0..c_n of the guarded run of ``profiles`` from ``c0``."""
+    configs = [c0]
+    for i, prof in enumerate(profiles, start=1):
+        configs.append(step(m, configs[-1], prof, i))
+    return configs
+
+
+def lasso(m, c0, profiles, loop=0) -> Play:
+    """The guarded run of ``profiles`` from ``c0``, closed back onto ``loop``."""
+    return Play(tuple(run(m, c0, profiles)), tuple(profiles), loop)
 
 
 CHAIN = {
@@ -223,24 +236,51 @@ def textbook_sat(m, f) -> frozenset:
     return sat(f)
 
 
+@contextlib.contextmanager
+def capped_cpre(cap):
+    """Count ``checker._cpre``'s calls and the nodes they examine, and fail
+    past ``cap`` calls: a fixpoint that never converges fails the test
+    instead of hanging it."""
+    cpre, work = checker._cpre, {"calls": 0, "examined": 0}
+
+    def capped(agents, coalition, pools, succ, targets, among):
+        work["calls"] += 1
+        assert work["calls"] <= cap, f"more than {cap} _cpre calls in one check"
+        work["examined"] += len(among)
+        return cpre(agents, coalition, pools, succ, targets, among)
+
+    checker._cpre = capped
+    try:
+        yield work
+    finally:
+        checker._cpre = cpre
+
+
+def capped_atl(m, f) -> frozenset:
+    """``check_atl`` allowed one ``_cpre`` call per state and one more for
+    each modality: every fixpoint round but the last moves a state."""
+    with capped_cpre(sum(isinstance(g, Coop) for g in subformulas(f)) * (len(m.states) + 1)):
+        return check_atl(m, f)
+
+
 class TestQualitative:
     def test_nobody_keeps_p1(self, fig1):
         # from s1 every profile pair can be answered into s2 or s3
-        assert check_atl(fig1, fml(fig1, "<<>> G p1")) == frozenset()
+        assert capped_atl(fig1, fml(fig1, "<<>> G p1")) == frozenset()
 
     def test_grand_coalition_next_true(self, fig1):
         f = fml(fig1, "<<I,II>> X true")
-        assert check_atl(fig1, f) == frozenset(fig1.states)
+        assert capped_atl(fig1, f) == frozenset(fig1.states)
 
     def test_inevitable_reach(self):
         m = mk(CHAIN)
-        assert check_atl(m, fml(m, "<<>> F q")) == frozenset({"s", "t"})
+        assert capped_atl(m, fml(m, "<<>> F q")) == frozenset({"s", "t"})
 
     def test_until_and_negation(self, fig1):
         # I alone can steer s1 -> {s2, s3}? C gives {s1, s2}, D gives {s3, s2}:
         # no single choice pins p2, but <<I,II>> X p2 holds at every state
-        assert "s1" in check_atl(fig1, fml(fig1, "<<I,II>> X p2"))
-        got = check_atl(fig1, fml(fig1, "!(<<I,II>> X p2)"))
+        assert "s1" in capped_atl(fig1, fml(fig1, "<<I,II>> X p2"))
+        got = capped_atl(fig1, fml(fig1, "!(<<I,II>> X p2)"))
         assert got == frozenset()
 
     def test_rejects_constraints(self, fig1):
@@ -253,7 +293,7 @@ class TestQualitative:
 
     def test_nested_modalities_are_fine(self, fig1):
         # the inner modality is itself a state formula, so nesting is legal
-        got = check_atl(fig1, fml(fig1, "<<I>> G (<<II>>(p1 U p2))"))
+        got = capped_atl(fig1, fml(fig1, "<<I>> G (<<II>>(p1 U p2))"))
         assert got <= frozenset(fig1.states)
 
     def test_pre_manual(self, fig1):
@@ -289,7 +329,7 @@ class TestQualitative:
             z = z2
             stages.append(z)
         assert len(stages) <= len(fig1.states) + 1
-        assert z == check_atl(fig1, fml(fig1, "<<I,II>>(true U p2)"))
+        assert z == capped_atl(fig1, fml(fig1, "<<I,II>>(true U p2)"))
 
     def test_always_iteration_is_decreasing(self, fig1):
         keep = frozenset(s for s in fig1.states if "p1" in fig1.label_of(s))
@@ -300,33 +340,25 @@ class TestQualitative:
                 break
             assert z2 < z
             z = z2
-        assert z == check_atl(fig1, fml(fig1, "<<I>> G p1"))
+        assert z == capped_atl(fig1, fml(fig1, "<<I>> G p1"))
 
     @given(small_games(), ATL_FORMULAS)
     @settings(max_examples=120, deadline=None)
     def test_fixpoints_match_the_textbook_iteration(self, m, f):
         f = within(f, frozenset(m.agents))
-        assert check_atl(m, f) == textbook_sat(m, f)
+        assert capped_atl(m, f) == textbook_sat(m, f)
 
 
-def test_fixpoint_rounds_examine_only_open_states(monkeypatch):
+def test_fixpoint_rounds_examine_only_open_states():
     # one 300-state ring, r0 the goal: each U round examines the states not
     # yet won and each G round those not yet lost; rescanning every state
     # each round would examine 90,300 for the grand coalition, not n(n-1)/2
     m = model_from_dict(ring_doc(300))
-    examined = [0]
-    cpre = checker._cpre
-
-    def counting(agents, coalition, pools, succ, targets, among):
-        examined[0] += len(among)
-        return cpre(agents, coalition, pools, succ, targets, among)
-
-    monkeypatch.setattr(checker, "_cpre", counting)
     got = {}
     for text in ["<<A>>(true U goal)", "<<B>> G !goal", "<<A,B>>(true U goal)"]:
-        examined[0] = 0
-        won = check_atl(m, fml(m, text))
-        got[text] = (len(won), examined[0])
+        with capped_cpre(len(m.states) + 1) as work:
+            won = check_atl(m, fml(m, text))
+        got[text] = (len(won), work["examined"])
     assert got == {
         "<<A>>(true U goal)": (75, 19650),
         "<<B>> G !goal": (225, 19650),
@@ -644,12 +676,11 @@ class TestBounded:
         assert v.value is None
         assert v.bound_used == 3
 
-    def test_node_budget_exhaustion_is_unknown(self, fig1):
+    def test_node_budget_exhaustion_is_unknown(self, fig1, monkeypatch):
         c0 = Configuration("s1", (F(0), F(0)))
         f = fml(fig1, "<<I,II>> F (p1 & v_I > 100 & v_II > 100)")
-        v = check_bounded(
-            fig1, c0, f, ML_CONFIG, ML_CONFIG, Budget(120, max_nodes=50)
-        )
+        monkeypatch.setattr(checker, "MAX_NODES", 50)
+        v = check_bounded(fig1, c0, f, ML_CONFIG, ML_CONFIG, Budget(120))
         assert v.value is None
         assert v.bound_used is not None
 
@@ -793,18 +824,19 @@ class TestBounded:
         assert check_bounded(m, c0, f, budget=Budget(3)).value is None
         assert check_bounded(m, c0, f, budget=Budget(12)).value is True
 
-    def test_equal_subformulas_share_the_memo(self, fig1):
+    def test_equal_subformulas_share_the_memo(self, fig1, monkeypatch):
         # the node budget that just decides `A & true` also decides `A & A`
         c0 = Configuration("s1", (F(0), F(0)))
         single = fml(fig1, "(<<I>> X p1) & true")
         double = fml(fig1, "(<<I>> X p1) & (<<I>> X p1)")
-        n = next(
-            n for n in itertools.count(1)
-            if check_bounded(fig1, c0, single, budget=Budget(2, max_nodes=n)).value
-            is not None
-        )
-        assert check_bounded(fig1, c0, double, budget=Budget(2, max_nodes=n)).value is True
-        assert check_bounded(fig1, c0, double, budget=Budget(2, max_nodes=n - 1)).value is None
+
+        def value(f, nodes):
+            monkeypatch.setattr(checker, "MAX_NODES", nodes)
+            return check_bounded(fig1, c0, f, budget=Budget(2)).value
+
+        n = next(n for n in itertools.count(1) if value(single, n) is not None)
+        assert value(double, n) is True
+        assert value(double, n - 1) is None
 
 
 # Bounded-engine reports pinned byte for byte: sha256 of the sorted-key JSON
@@ -868,23 +900,24 @@ def test_bounded_reports_are_pinned(fig1, model, text, depth, sp, so, verdict, b
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-def test_sweeps_resume_instead_of_replaying(fig1):
+def test_sweeps_resume_instead_of_replaying(fig1, monkeypatch):
     # the rich query's 12,050 sweeps walk about 16,000 nodes when each one
     # resumes at its backjump point, and 236,203 when each one starts again
     # from the root, which runs out of this node budget at bound 8
+    monkeypatch.setattr(checker, "MAX_NODES", 20_000)
     v = check_bounded(
         fig1,
         Configuration("s1", (F(0), F(0))),
         fml(fig1, "<<I,II>>(true U (p1 & v_I > 100 & v_II > 100))"),
         ML_CONFIG,
         ML_CONFIG,
-        Budget(120, max_nodes=20_000),
+        Budget(120),
     )
     assert (v.value, v.bound_used) == (True, 64)
 
 
 # The bounded engine's work per BOUNDED_GOLDEN row, over its whole deepening
-# ladder: nodes entered (`_Ctx.tick` calls, which `Budget.max_nodes` counts)
+# ladder: nodes entered (`_Ctx.tick` calls, which `checker.MAX_NODES` caps)
 # and sweeps (`_CoopSolver._walk` calls, which `checker.MAX_SWEEPS` caps
 # per solver).  A faster engine must walk exactly the same search.
 BOUNDED_WORK_DIGEST = "1e2c30bbaf4c49a722d1f1c5342bef022ce11f3a49f2a31ae6d2155240820511"
@@ -921,8 +954,10 @@ def test_bounded_work_is_pinned(fig1, monkeypatch):
 
 class TestApcPlay:
     def _loop_play(self, m, profiles, loop=0):
-        h = run_profiles(m, Configuration("s", tuple(F(0) for _ in m.agents)), profiles)
-        return Play(h.configs, h.profiles, loop, start_index=1)
+        return lasso(m, Configuration("s", tuple(F(0) for _ in m.agents)), profiles, loop)
+
+    def apc(self, text):
+        return parse_formula(text).pc
 
     def test_mean_cycle(self):
         d = {
@@ -941,13 +976,13 @@ class TestApcPlay:
         }
         m = mk(d)
         p = self._loop_play(m, [("go", "go")])
-        assert check_apc_play(m, p, parse_apc("w_II >= 3")) is False
-        assert check_apc_play(m, p, parse_apc("w_II >= 2")) is True
+        assert check_apc_play(m, p, self.apc("w_II >= 3")) is False
+        assert check_apc_play(m, p, self.apc("w_II >= 2")) is True
 
     def test_zero_payoff_total(self):
         m = one_agent_loop([("go", 0)], semantics="total")
         p = self._loop_play(m, [("go",)])
-        assert check_apc_play(m, p, parse_apc("w_a = 0")) is True
+        assert check_apc_play(m, p, self.apc("w_a = 0")) is True
 
     def test_discounted_geometric(self):
         d = {
@@ -964,7 +999,7 @@ class TestApcPlay:
         }
         m = mk(d)
         p = self._loop_play(m, [("go",)])
-        assert check_apc_play(m, p, parse_apc("w_a = 2")) is True
+        assert check_apc_play(m, p, self.apc("w_a = 2")) is True
 
     def test_inexact_lasso_rejected(self):
         from gcgmp.errors import NotLasso
@@ -972,7 +1007,7 @@ class TestApcPlay:
         m = one_agent_loop([("inc", 1)], semantics="total")
         p = self._loop_play(m, [("inc",)])
         with pytest.raises(NotLasso):
-            check_apc_play(m, p, parse_apc("w_a >= 0"))
+            check_apc_play(m, p, self.apc("w_a >= 0"))
 
     def test_divergent_total_propagates(self):
         # utilities oscillate 0,2,0,2,... -> no settled total value
@@ -992,10 +1027,9 @@ class TestApcPlay:
             "value_semantics": "total",
         }
         m = mk(d)
-        h = run_profiles(m, Configuration("up", (F(0),)), [("go",), ("go",)])
-        p = Play(h.configs, h.profiles, 0, start_index=1)
+        p = lasso(m, Configuration("up", (F(0),)), [("go",), ("go",)])
         with pytest.raises(Divergent):
-            check_apc_play(m, p, parse_apc("w_a >= 0"))
+            check_apc_play(m, p, self.apc("w_a >= 0"))
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -1582,7 +1616,9 @@ def _replay_population_outcomes() -> list:
         sp, so = CLASS_PAIRS[i % 16]
         c0 = Configuration(m.states[0], tuple(F(0) for _ in m.agents))
         try:
-            v = check_bounded(m, c0, f, sp, so, Budget(4, max_nodes=20_000))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(checker, "MAX_NODES", 20_000)
+                v = check_bounded(m, c0, f, sp, so, Budget(4))
         except GcgmpError:
             continue
         if v.witness is None:

@@ -1,26 +1,23 @@
+import itertools
 import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from test_checker import random_model, random_state_formula
+from test_checker import lasso, random_model, random_state_formula, run
 
 from gcgmp import checker
 from gcgmp.dynamics import (
     Configuration,
-    History,
     Play,
     cycle_increments,
     enabled_actions,
-    enabled_profiles,
+    enabled_pools,
     explore,
-    from_history,
     initial_config,
     is_exact_lasso,
     play_value,
-    project,
-    run_profiles,
     step,
     to_dot,
 )
@@ -113,7 +110,8 @@ class TestStep:
 
     def test_enabled_profiles_at_origin(self):
         m = builtin_fig1()
-        assert list(enabled_profiles(m, initial_config(m, "s1"))) == [("C", "C")]
+        pools = enabled_pools(m, initial_config(m, "s1"), {})
+        assert list(itertools.product(*pools)) == [("C", "C")]
 
     def test_simultaneous_violations_blame_least_agent(self):
         m = builtin_fig1()
@@ -132,17 +130,17 @@ class TestStep:
 class TestRuns:
     def test_cooperate_forever(self):
         m = builtin_fig1()
-        h = run_profiles(m, initial_config(m, "s1"), [("C", "C")] * 4)
-        assert h.current == Configuration("s1", (F(8), F(8)))
+        configs = run(m, initial_config(m, "s1"), [("C", "C")] * 4)
+        assert configs[-1] == Configuration("s1", (F(8), F(8)))
 
     def test_six_step_trace(self):
         m = builtin_fig1()
-        h = run_profiles(
+        configs = run(
             m,
             initial_config(m, "s1"),
             [("C", "C"), ("D", "D"), ("D", "C"), ("C", "D"), ("C", "D"), ("C", "D")],
         )
-        assert [ (c.state, tuple(int(u) for u in c.utilities)) for c in h.configs ] == [
+        assert [(c.state, tuple(int(u) for u in c.utilities)) for c in configs] == [
             ("s1", (0, 0)),
             ("s1", (2, 2)),
             ("s2", (1, 1)),
@@ -155,12 +153,7 @@ class TestRuns:
     def test_eight_step_trace_to_the_sink_of_blame(self):
         m = builtin_fig1()
         profs = [("C", "C"), ("D", "C")] + [("C", "D")] * 6
-        h = run_profiles(m, initial_config(m, "s1"), profs)
-        assert h.current == Configuration("s3", (F(-1), F(-8)))
-
-    def test_history_shape_enforced(self):
-        with pytest.raises(ValueError):
-            History((Configuration("s", (F(0),)),), (("go",),))
+        assert run(m, initial_config(m, "s1"), profs)[-1] == Configuration("s3", (F(-1), F(-8)))
 
 
 class TestPlayShape:
@@ -191,110 +184,62 @@ class TestPlayShape:
             p.state_at(-1)
 
 
-class TestProjection:
-    def test_exact_round_trip_play(self):
-        m = model_from_dict(swing_doc())
-        h = run_profiles(m, initial_config(m, "s"), [("go",), ("go",)])
-        p = from_history(h, loop=0)
-        assert is_exact_lasso(m, p)
-        assert project(p, "c", 0) == project(p, "c", 2) == project(p, "c", 40, m)
-        assert project(p, "c", 41) == Configuration("t", (F(1),))
-        assert project(p, "u", 41) == (F(1),)
-        assert project(p, "s", 41) == "t"
-        assert project(p, "a", 41) == ("go",)
-
-    def test_cooperation_prefix_utilities(self):
-        m = builtin_fig1()
-        h = run_profiles(m, initial_config(m, "s1"), [("C", "C")] * 2)
-        p = from_history(h, loop=0)
-        assert project(p, "u", 2) == (F(4), F(4))
-        assert project(p, "s", 0) == "s1"
-
-    def test_inexact_projection_refused_beyond_prefix(self):
-        m = builtin_fig1()
-        h = run_profiles(m, initial_config(m, "s1"), [("C", "C")])
-        p = from_history(h, loop=0)  # state repeats, utilities do not
-        assert not is_exact_lasso(m, p)
-        assert project(p, "c", 1) == Configuration("s1", (F(2), F(2)))
-        with pytest.raises(NotLasso):
-            project(p, "c", 2)
-        with pytest.raises(NotLasso):
-            project(p, "u", 2, m)
-        # states and profiles fold soundly regardless
-        assert project(p, "s", 7) == "s1"
-        assert project(p, "a", 7) == ("C", "C")
-
-    def test_history_projection_is_strict(self):
-        m = builtin_fig1()
-        h = run_profiles(m, initial_config(m, "s1"), [("C", "C")])
-        assert project(h, "c", 1) == Configuration("s1", (F(2), F(2)))
-        assert project(h, "a", 0) == ("C", "C")
-        with pytest.raises(IndexOutOfRange):
-            project(h, "a", 1)
-        with pytest.raises(IndexOutOfRange):
-            project(h, "u", 2)
-
-    def test_unknown_kind(self):
-        m = builtin_fig1()
-        h = run_profiles(m, initial_config(m, "s1"), [("C", "C")])
-        with pytest.raises(ValueError):
-            project(h, "z", 0)
-
-
 class TestPlayValues:
     def test_mean_of_swing_is_zero(self):
         m = model_from_dict(swing_doc())
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)] * 2), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)] * 2)
+        assert is_exact_lasso(m, p)
         assert play_value(m, p, "a") == F(0)
 
     def test_mean_uses_raw_payoffs_even_when_frozen(self):
         # discount 0: utilities never move, yet the payoff stream is 7,7,7,...
         m = model_from_dict(loop_doc(pay="7", discount="0"))
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)]), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)])
         assert is_exact_lasso(m, p)
         assert play_value(m, p, "a") == F(7)
 
     def test_total_of_frozen_loop_is_current_utility(self):
         m = model_from_dict(loop_doc(pay="7", discount="0", semantics="total"))
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)]), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)])
         assert play_value(m, p, "a") == F(0)
 
     def test_total_diverges_when_cycle_oscillates(self):
         m = model_from_dict(swing_doc(semantics="total"))
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)] * 2), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)] * 2)
         assert cycle_increments(m, p, "a") == [F(1), F(-1)]
         with pytest.raises(Divergent):
             play_value(m, p, "a")
 
     def test_total_needs_exact_cycle(self):
         m = builtin_fig1()
-        p = from_history(run_profiles(m, initial_config(m, "s1"), [("C", "C")]), 0)
+        p = lasso(m, initial_config(m, "s1"), [("C", "C")])  # utilities do not repeat
+        assert not is_exact_lasso(m, p)
+        assert (p.state_at(7), p.profile_at(7)) == ("s1", ("C", "C"))  # yet states fold
         with pytest.raises(NotLasso):
             play_value(m, p, "I")
 
     def test_discounted_geometric_series(self):
         m = model_from_dict(loop_doc(pay="1", discount="1/2", semantics="discounted"))
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)]), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)])
         assert play_value(m, p, "a") == F(1)  # sum of (1/2)^l for l >= 1
 
     def test_discounted_value_independent_of_cut(self):
         # same infinite run, cycle entered one step later: value must agree
         m = model_from_dict(loop_doc(pay="1", discount="1/2", semantics="discounted"))
-        h = run_profiles(m, initial_config(m, "s"), [("go",)] * 2)
-        assert play_value(m, from_history(h, 1), "a") == F(1)
+        p = lasso(m, initial_config(m, "s"), [("go",)] * 2, loop=1)
+        assert play_value(m, p, "a") == F(1)
 
     def test_discounted_rejects_unit_discount(self):
         m = model_from_dict(loop_doc(pay="1", discount="1", semantics="discounted"))
-        p = from_history(run_profiles(m, initial_config(m, "s"), [("go",)]), 0)
+        p = lasso(m, initial_config(m, "s"), [("go",)])
         with pytest.raises(UndiscountedDiscounted):
             play_value(m, p, "a")
 
     def test_utilities_match_discounted_prefix_sums(self):
         # the step function itself is the closed form's ground truth
         m = model_from_dict(loop_doc(pay="3", discount="1/3"))
-        h = run_profiles(m, initial_config(m, "s"), [("go",)] * 5)
         acc = F(0)
-        for l, c in enumerate(h.configs[1:], start=1):
+        for l, c in enumerate(run(m, initial_config(m, "s"), [("go",)] * 5)[1:], start=1):
             acc += F(1, 3) ** l * 3
             assert c.utilities == (acc,)
 
@@ -465,26 +410,27 @@ class TestExactRationals:
             profiles = []
             c = c0
             for _ in range(6):
-                enabled = sorted(enabled_profiles(m, c))
+                enabled = sorted(itertools.product(*enabled_pools(m, c, {})))
                 if not enabled:
                     break
                 profiles.append(rng.choice(enabled))
                 c = step(m, c, profiles[-1], len(profiles))
-            h = run_profiles(m, c0, profiles)
-            h_ref = run_profiles(twin, Configuration(c0.state, tuple(start)), profiles)
-            assert h.configs == h_ref.configs
-            assert all(_exact(c.utilities) for c in h.configs)
+            configs = tuple(run(m, c0, profiles))
+            ref = tuple(run(twin, Configuration(c0.state, tuple(start)), profiles))
+            assert configs == ref
+            assert all(_exact(c.utilities) for c in configs)
             if _integral_run(m, start):
-                assert all(type(u) is int for c in h.configs for u in c.utilities)
+                assert all(type(u) is int for c in configs for u in c.utilities)
             n = len(profiles)
             for j in range(n):
-                if h.configs[j].state != h.configs[n].state:
+                if configs[j].state != configs[n].state:
                     continue
                 for sem in semantics:
                     for a in m.agents:
                         got, want = (
-                            _value_or_error(replace(g, value_semantics=sem), from_history(x, j), a)
-                            for g, x in ((m, h), (twin, h_ref))
+                            _value_or_error(replace(g, value_semantics=sem),
+                                            Play(x, tuple(profiles), j), a)
+                            for g, x in ((m, configs), (twin, ref))
                         )
                         assert got == want
                         if not isinstance(got, type):

@@ -27,7 +27,6 @@ from gcgmp.logic import (
     formula_props,
     is_state_formula,
     parse_formula,
-    path_constraints,
 )
 from gcgmp.model import builtin_fig1
 
@@ -188,10 +187,6 @@ class TestQueries:
         assert [a.rel for a in constraint_atoms(f)] == [">", "<", "="]
         f = parse_formula("!(v_I > 0) & <<I>>X ((<<II>>G v_II < 5) & v_I = 2)")
         assert [a.rel for a in constraint_atoms(f)] == [">", "<", "="]
-
-    def test_path_constraints(self):
-        f = parse_formula("<<I>>(w_I >= 5) & <<II>>(w_II < 0)")
-        assert [pc.agent for pc in path_constraints(f)] == ["I", "II"]
 
     def test_props_inside_nested_modalities(self):
         f = parse_formula("(<<I>>X (<<II>>G !p2)) & p3")

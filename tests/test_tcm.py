@@ -411,9 +411,9 @@ class TestSimulation:
             [("A", 0, 0, "B", 1, 0), ("B", 0, 0, "F", 0, 0)],
         )
         enc = encode(m, STATE_BASED)
-        c = dynamics.run_profiles(
-            enc.model, enc.initial, [("t0", "go"), ("go", "go"), ("t1", "go")]
-        ).configs[-1]
+        c = enc.initial
+        for i, prof in enumerate([("t0", "go"), ("go", "go"), ("t1", "go")], start=1):
+            c = dynamics.step(enc.model, c, prof, i)
         assert c.state == "step1"
         assert "e1" in enc.model.label_of("step1")
         assert c.utilities[0] == Fraction(1)  # labelled zero-claim, utility says no

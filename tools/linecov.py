@@ -14,12 +14,18 @@ its first line with bytecode produced a line event.  The report lists, per
 module, the statements that never ran, as line ranges.  Tests that fail only
 under the collector, such as wall-clock bounds, show in pytest's own output
 above the report, and the exit status is pytest's.
+
+After the statements, the report lists each public top-level name of
+``src/gcgmp`` that no file under ``src``, ``bench`` or ``tools`` mentions
+outside its own definition, by a plain text search for the word.  Such a
+name is called only from tests, or from nowhere.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,6 +52,48 @@ def statement_lines(path: str) -> list[int]:
             if line is not None:
                 stmts.add(line)
     return sorted(stmts)
+
+
+def top_level_names(path: str):
+    """Public names a module defines at top level, each with the line span
+    of its definition."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            ends = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in ends if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):
+                yield name, range(node.lineno, node.end_lineno + 1)
+
+
+def unreferenced(modules: list[str]) -> list[str]:
+    """``module.name`` for each public top-level name of ``modules`` that no
+    Python file under ``src``, ``bench`` or ``tools`` mentions outside its own
+    definition."""
+    lines = {}
+    for top in ("src", "bench", "tools"):
+        for base, _, files in os.walk(os.path.join(ROOT, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    path = os.path.join(base, f)
+                    with open(path, encoding="utf-8") as fh:
+                        lines[path] = fh.read().splitlines()
+    out = []
+    for path in modules:
+        for name, span in top_level_names(path):
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line)
+                       for other, text in lines.items()
+                       for n, line in enumerate(text, 1)
+                       if not (other == path and n in span)):
+                out.append(f"{os.path.basename(path)[:-3]}.{name}")
+    return out
 
 
 def ranges(missed: list[int], stmts: list[int]) -> str:
@@ -88,11 +136,10 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
 
     total = run = 0
+    modules = [os.path.join(PACKAGE, m) for m in sorted(os.listdir(PACKAGE)) if m.endswith(".py")]
     print("\nstatements of src/gcgmp that never ran:")
-    for module in sorted(os.listdir(PACKAGE)):
-        if not module.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, module)
+    for path in modules:
+        module = os.path.basename(path)
         stmts = statement_lines(path)
         missed = [line for line in stmts if line not in hits.get(path, ())]
         total += len(stmts)
@@ -100,6 +147,11 @@ def main(argv: list[str]) -> int:
         print(f"  {module}: {len(missed)} of {len(stmts)}"
               + (f": {ranges(missed, stmts)}" if missed else ""))
     print(f"  all: {total - run} of {total} never ran; pytest exit status {int(status)}")
+    names = unreferenced(modules)
+    print("\npublic names of src/gcgmp that no src, bench or tools file mentions:")
+    for name in names:
+        print(f"  {name}")
+    print(f"  {len(names)} in all")
     return int(status)
 
 
