@@ -15,8 +15,8 @@ in the graph they run it on:
     undiscounted.  Utilities then only grow, so every comparison against a
     constant stabilizes once a utility passes the largest constant B
     mentioned anywhere; clamping utilities to B+1 yields a finite graph of
-    configurations, stepped by ``dynamics.successor`` under guard-enabled
-    moves, on which coalition fixpoints are exact.
+    configurations, built by ``dynamics.explore``, on which coalition
+    fixpoints are exact.
 
 ``check_bounded``
     Three-valued search for everything else.  Proponent strategies are
@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import arith
 from .arith import _REL_FN, PathConstraint, eval_atom, exact, normalize_atom
-from .dynamics import Configuration, Play, enabled_pools, play_value, step, successor
+from .dynamics import Configuration, Play, enabled_pools, explore, play_value, step, successor
 from .errors import (
     FragmentError,
     GcgmpError,
@@ -337,24 +336,8 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             raise NotMonotone(f"start utility {u} for agent {a!r} is negative")
 
     cap = exact(saturation_cap(m, f))
-
-    def clamp(c: Configuration) -> Configuration:
-        return Configuration(c.state, tuple(min(u, cap) for u in c.utilities))
-
-    # breadth-first closure of the clamped configuration graph, keeping each
-    # node's guard-enabled actions per agent
-    root = clamp(Configuration(c0.state, tuple(map(exact, c0.utilities))))
-    cache: dict = {}
-    pools = {root: enabled_pools(m, root, cache)}
-    succ: dict[tuple, Configuration] = {}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for prof in itertools.product(*pools[node]):
-            nxt = succ[(node, prof)] = clamp(successor(m, node, prof, 1))
-            if nxt not in pools:
-                pools[nxt] = enabled_pools(m, nxt, cache)
-                queue.append(nxt)
+    game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=cap)
+    pools = game.pools
 
     def leaf(g) -> frozenset:  # outside NGL_STAR, a leaf is a proposition or an atom
         if isinstance(g, Prop):
@@ -363,7 +346,7 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
         )
 
-    return Verdict(root in _fixpoint(f, leaf, m.agents, pools, succ))
+    return Verdict(game.root in _fixpoint(f, leaf, m.agents, pools, game.succ))
 
 
 # --- bounded engine ----------------------------------------------------------

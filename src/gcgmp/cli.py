@@ -37,7 +37,6 @@ from .dynamics import (
     initial_config,
     play_value,
     step,
-    to_dot,
 )
 from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError
 from .logic import (
@@ -397,8 +396,8 @@ def cmd_export_graph(args):
         "model_sha256": model_digest(m),
         "init": _config_json(init),
         "bound": args.bound,
-        "nodes": len(result.nodes),
-        "edges": len(result.edges),
+        "nodes": len(result.pools),
+        "edges": len(result.succ),
         "truncated": result.truncated,
     }
     if args.output is not None:
@@ -407,7 +406,7 @@ def cmd_export_graph(args):
             fh.writelines(dot_lines(result))
         report["dot_written"] = args.output
     else:
-        report["dot"] = to_dot(result)
+        report["dot"] = "".join(dot_lines(result))
     return report, 0
 
 

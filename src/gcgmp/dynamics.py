@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import Rational, eval_acf, exact
 from .errors import (
@@ -238,72 +238,73 @@ def play_value(m: Gcgmp, play: Play, agent: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ExploreResult:
-    """Configuration graph reachable within a step budget.
+    """The configuration graph reachable from ``root``, as a game.
 
-    Node keys are configurations, extended with the step index whenever some
-    discount lies strictly between 0 and 1 (then depth changes increments, so
-    equal configurations at different depths are distinct dynamics nodes).
-    ``unexpanded`` holds the frontier nodes that still had enabled moves when
-    the budget ran out; the graph is truncated exactly when that is nonempty.
+    ``pools[node]`` lists each agent's guard-enabled actions at the node, in
+    agent order, and ``succ[(node, profile)]`` is the successor under an
+    enabled profile; both are in breadth-first order, and every edge end is
+    the stored node key itself.  Node keys are configurations, extended with
+    the step index whenever some discount lies strictly between 0 and 1
+    (then depth changes increments, so equal configurations at different
+    depths are distinct dynamics nodes).  ``unexpanded`` holds the nodes at
+    the depth limit that still had enabled moves; the graph is truncated
+    exactly when that is nonempty.
     """
 
-    nodes: tuple = ()
-    edges: tuple = ()  # (source key, profile, target key)
-    truncated: bool = False
+    pools: dict
+    succ: dict
+    root: object
     step_indexed: bool = False
-    root: object = None
-    bound: int = 0
     unexpanded: frozenset = frozenset()
 
+    @property
+    def truncated(self) -> bool:
+        return bool(self.unexpanded)
 
-def explore(m: Gcgmp, init: Configuration, depth: int, start_index: int = 1) -> ExploreResult:
+
+def explore(m: Gcgmp, init: Configuration, depth: Optional[int] = None,
+            cap: Optional[Rational] = None) -> ExploreResult:
     """Breadth-first expansion of the guarded configuration graph.
 
-    Nodes at distance ``depth`` are kept but not expanded; ``truncated``
-    reports whether any of them still had an enabled move.
+    Nodes at distance ``depth`` get their pools but no successors; with no
+    ``depth`` the search runs until the graph closes.  A ``cap`` clamps every
+    utility, the start's included, to ``min(u, cap)``.
     """
-    if depth < 0:
+    if depth is not None and depth < 0:
         raise ValueError("depth must be non-negative")
     indexed = m.step_indexed
 
-    def key(c: Configuration, l: int):
-        return (c, l) if indexed else c
+    def clamp(c: Configuration) -> Configuration:
+        return Configuration(c.state, tuple(min(u, cap) for u in c.utilities))
 
-    init_key = key(init, start_index)
-    seen = {init_key: init_key}  # one stored copy per node; edges share it
-    order = [init_key]
-    edges = []
-    frontier = [(init, start_index, init_key)]
-    unexpanded = set()
+    if cap is not None:
+        init = clamp(init)
+    root = (init, 1) if indexed else init
+    seen = {root: root}  # one stored copy per node; edges share it
     enabled: dict = {}
-    for dist in range(depth + 1):
-        if not frontier:
-            break  # the graph closed before the horizon
+    pools = {root: enabled_pools(m, init, enabled)}
+    succ: dict = {}
+    unexpanded = set()
+    frontier = [(init, 1, root)]
+    dist = 0
+    while frontier:
+        if dist == depth:
+            unexpanded.update(k for _, _, k in frontier if all(pools[k]))
+            break
         nxt = []
         for c, l, k in frontier:
-            profs = list(itertools.product(*enabled_pools(m, c, enabled)))
-            if dist == depth:
-                if profs:
-                    unexpanded.add(k)
-                continue
-            for prof in profs:  # enabled already: no guard re-check
+            for prof in itertools.product(*pools[k]):  # enabled: no guard re-check
                 c2 = successor(m, c, prof, l)
-                k2 = key(c2, l + 1)
-                known = seen.setdefault(k2, k2)
-                edges.append((k, prof, known))
+                if cap is not None:
+                    c2 = clamp(c2)
+                k2 = (c2, l + 1) if indexed else c2
+                known = succ[(k, prof)] = seen.setdefault(k2, k2)
                 if known is k2:
-                    order.append(k2)
+                    pools[k2] = enabled_pools(m, c2, enabled)
                     nxt.append((c2, l + 1, k2))
         frontier = nxt
-    return ExploreResult(
-        tuple(order),
-        tuple(edges),
-        bool(unexpanded),
-        indexed,
-        root=init_key,
-        bound=depth,
-        unexpanded=frozenset(unexpanded),
-    )
+        dist += 1
+    return ExploreResult(pools, succ, root, indexed, frozenset(unexpanded))
 
 
 def dot_lines(result: ExploreResult) -> Iterator[str]:
@@ -313,9 +314,9 @@ def dot_lines(result: ExploreResult) -> Iterator[str]:
     Node labels read ``state | u1,u2,…``; nodes cut short by the step budget
     while moves were still enabled are drawn dashed.
     """
-    names = {k: f"n{i}" for i, k in enumerate(result.nodes)}
+    names = {k: f"n{i}" for i, k in enumerate(result.pools)}
     yield "digraph gcgmp {\n  rankdir=LR;\n"
-    for k in result.nodes:
+    for k in result.pools:
         if result.step_indexed:
             c, l = k
             extra = f" @l={l}"
@@ -324,11 +325,7 @@ def dot_lines(result: ExploreResult) -> Iterator[str]:
         us = ",".join(str(u) for u in c.utilities)
         style = ", style=dashed" if k in result.unexpanded else ""
         yield f'  {names[k]} [label="{c.state} | {us}{extra}"{style}];\n'
-    for src, prof, dst in result.edges:
+    for (src, prof), dst in result.succ.items():
         yield f'  {names[src]} -> {names[dst]} [label="{",".join(prof)}"];\n'
     yield "}\n"
 
-
-def to_dot(result: ExploreResult) -> str:
-    """The whole DOT text of ``dot_lines``, for reports that embed it."""
-    return "".join(dot_lines(result))

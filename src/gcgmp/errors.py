@@ -12,15 +12,10 @@ class GcgmpError(Exception):
 class ParseError(GcgmpError):
     """Bad concrete syntax: formulas, constraint text, or model/machine files."""
 
-    def __init__(self, message, line=None, col=None, expected=None):
-        self.line = line
+    def __init__(self, message, col=None, expected=None):
         self.col = col
         self.expected = expected
-        where = ""
-        if line is not None:
-            where = f" at line {line}" + (f", column {col}" if col is not None else "")
-        elif col is not None:
-            where = f" at position {col}"
+        where = f" at position {col}" if col is not None else ""
         hint = f" (expected {expected})" if expected else ""
         super().__init__(f"{message}{where}{hint}")
 

@@ -342,9 +342,7 @@ def _parse_unary(ts: TokenStream) -> Formula:
 
 
 def _parse_primary(ts: TokenStream) -> Formula:
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input", col=len(ts.text), expected="formula")
+    tok = ts.peek()  # never None: _parse_unary has refused the end of input
     if tok.kind == "(":
         ts.take()
         ts.nest()

@@ -349,7 +349,7 @@ def _halt_reachable(enc):
     m = enc.model
     if enc.variant == "guard-based":
         graph = dynamics.explore(m, enc.initial, 17)
-        return any("halt" in m.label_of(node.state) for node in graph.nodes)
+        return any("halt" in m.label_of(node.state) for node in graph.pools)
 
     def honest(c):
         labels = m.label_of(c.state)

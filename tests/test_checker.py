@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcgmp import checker
@@ -166,6 +166,8 @@ ATL_FORMULAS = st.recursive(  # constraint-free, with X/G/U under any coalition
         st.builds(Coop, _COALITIONS, kids.map(Next)),
         st.builds(Coop, _COALITIONS, kids.map(Always)),
         st.builds(Coop, _COALITIONS, st.builds(Until, kids, kids)),
+        # F phi: the first U round wins every state that can force phi at once
+        st.builds(Coop, _COALITIONS, st.builds(Until, st.just(TRUE), kids)),
     ),
     max_leaves=6,
 )
@@ -344,6 +346,9 @@ class TestQualitative:
 
     @given(small_games(), ATL_FORMULAS)
     @settings(max_examples=120, deadline=None)
+    # U formulas whose first round wins a state: s steps into t, where q holds
+    @example(mk(CHAIN), Coop(frozenset(), Until(TRUE, Prop("q"))))
+    @example(mk(CHAIN), Not(Coop(frozenset({"a"}), Until(Not(Prop("q")), Prop("q")))))
     def test_fixpoints_match_the_textbook_iteration(self, m, f):
         f = within(f, frozenset(m.agents))
         assert capped_atl(m, f) == textbook_sat(m, f)

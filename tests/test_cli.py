@@ -183,10 +183,13 @@ class TestValidate:
             {"labels": {"s": [1, "p1"]}},
             {"states": [["s"]]},
             {"agents": [["a"]]},
+            {"transitions": [{"from": "s", "profile": ["inc"], "to": "s"}]},
+            {"guards": {"a": {"s": {"inc": 1}}}},
         ],
         ids=[
             "scalars", "actions", "available", "labels", "discounts",
             "list-label", "mixed-labels", "list-state", "list-agent",
+            "list-row-profile", "int-guard",
         ],
     )
     def test_bad_top_level_shapes_exit_2(self, capsys, tmp_path, fields):
@@ -328,6 +331,9 @@ class TestCheck:
             pytest.param("!" * 3000 + "p1", "bad formula", id="3000-negations"),
             pytest.param("(" * 3000 + "p1" + ")" * 3000, "bad formula", id="3000-parentheses"),
             pytest.param("<<I>> X (v_I > \u00b9)", "bad formula", id="superscript-digit"),
+            pytest.param("(p1", "bad formula", id="unclosed-parenthesis"),
+            pytest.param("<<I>> X (v_I > 1/)", "bad formula", id="no-denominator"),
+            pytest.param("<<I>> w_I", "bad formula", id="play-value-without-comparison"),
         ],
     )
     def test_unusable_formulas_exit_2(self, capsys, formula, hint):
@@ -540,13 +546,15 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "doc",
         [[1, 2], {"moves": [1]}, {"moves": {"a": ["inc"]}}, {"moves": {"a": {"s": 1}}},
-         {"class": ["ml-state"]}],
-        ids=["list-document", "list-moves", "list-table", "int-action", "list-class"],
+         {"class": ["ml-state"]}, None, "{not json"],
+        ids=["list-document", "list-moves", "list-table", "int-action", "list-class",
+             "missing-file", "not-json"],
     )
     def test_malformed_strategy_files_exit_2(self, capsys, tmp_path, doc):
         path = write_model(tmp_path, incskip_doc())
         strat = tmp_path / "strat.json"
-        strat.write_text(json.dumps(doc), encoding="utf-8")
+        if doc is not None:  # None: no file at all; a string: the file's text
+            strat.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         code, report, err = run(capsys, "simulate", path, "--strategy-file", str(strat))
         assert (code, report) == (2, None)
         assert "Traceback" not in err and err.count("\n") == 1
@@ -647,20 +655,23 @@ class TestEncodeTcm:
             ({"c1": 0.5}, "integers"),
             ({"e1": True}, "integers"),
             ({"c2": "1"}, "integers"),
+            ("no-file", "cannot read machine"),
         ],
         ids=["list-document", "int-states", "list-state", "list-final", "int-finals",
-             "string-transitions", "list-row", "float-effect", "bool-test", "string-effect"],
+             "string-transitions", "list-row", "float-effect", "bool-test", "string-effect",
+             "missing-file"],
     )
     def test_malformed_machines_exit_2(self, capsys, tmp_path, patch, complaint):
         doc = machine_doc()
         row = doc["transitions"][0]
         if patch is None:
             doc = [doc]
-        else:
+        elif patch != "no-file":
             for key, value in patch.items():
                 (row if key in row else doc)[key] = value
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        if patch != "no-file":
+            path.write_text(json.dumps(doc), encoding="utf-8")
         code, report, err = run(capsys, "encode-tcm", str(path))
         assert (code, report) == (2, None)
         assert complaint in err and "Traceback" not in err and err.count("\n") == 1

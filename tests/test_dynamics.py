@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 from test_checker import lasso, random_model, random_state_formula, run
 
-from gcgmp import checker
+from gcgmp import checker, dynamics
 from gcgmp.dynamics import (
     Configuration,
     Play,
     cycle_increments,
+    dot_lines,
     enabled_actions,
     enabled_pools,
     explore,
@@ -19,7 +20,6 @@ from gcgmp.dynamics import (
     is_exact_lasso,
     play_value,
     step,
-    to_dot,
 )
 from gcgmp.errors import (
     Divergent,
@@ -248,18 +248,18 @@ class TestExplore:
     def test_depth_zero(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 0)
-        assert len(r.nodes) == 1
-        assert r.edges == ()
+        assert len(r.pools) == 1
+        assert r.succ == {}
         assert r.truncated
 
     def test_fig1_depth_two(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 2)
         assert not r.step_indexed
-        assert len(r.nodes) == 6
-        assert len(r.edges) == 5
+        assert len(r.pools) == 6
+        assert len(r.succ) == 5
         assert r.truncated
-        states = {c.state for c in r.nodes}
+        states = {c.state for c in r.pools}
         assert states == {"s1", "s2", "s3"}
 
     def test_fractional_discount_keys_by_depth(self):
@@ -267,7 +267,7 @@ class TestExplore:
         r = explore(m, initial_config(m, "s"), 3)
         assert r.step_indexed
         # configurations are all distinct anyway, but keys carry the index
-        assert all(isinstance(k, tuple) and isinstance(k[1], int) for k in r.nodes)
+        assert all(isinstance(k, tuple) and isinstance(k[1], int) for k in r.pools)
 
     def test_terminal_node_not_truncated(self):
         doc = loop_doc()
@@ -277,7 +277,7 @@ class TestExplore:
         m = model_from_dict(doc)
         # one step is allowed, after that the guard blocks everything
         r = explore(m, initial_config(m, "s"), 5)
-        assert len(r.nodes) == 2
+        assert len(r.pools) == 2
         assert not r.truncated
 
     def test_closed_graph_stops_before_the_bound(self):
@@ -287,16 +287,38 @@ class TestExplore:
         t0 = time.perf_counter()
         r = explore(m, initial_config(m, "s"), 10**9)
         assert time.perf_counter() - t0 < 1.0
-        assert len(r.nodes) == 1
-        assert len(r.edges) == 1
+        assert len(r.pools) == 1
+        assert len(r.succ) == 1
         assert not r.truncated
 
-    def test_graph_carries_root_and_bound(self):
+    def test_no_depth_runs_until_the_graph_closes(self):
+        m = model_from_dict(loop_doc(pay="0"))
+        r = explore(m, initial_config(m, "s"))
+        assert list(r.pools) == [r.root]
+        assert list(r.succ.items()) == [((r.root, ("go",)), r.root)]
+        assert not r.truncated
+
+    def test_cap_clamps_every_utility(self):
+        # the pay-1 loop grows without end; clamped at 3 it closes on (s, 3)
+        m = model_from_dict(loop_doc(pay="1"))
+        r = explore(m, initial_config(m, "s"), cap=3)
+        assert [c.utilities for c in r.pools] == [(0,), (1,), (2,), (3,)]
+        top = Configuration("s", (3,))
+        assert r.succ[(top, ("go",))] == top
+        assert not r.truncated
+        # the start is clamped too
+        assert explore(m, initial_config(m, "s", [5]), cap=3).root == top
+
+    def test_negative_depth_is_refused(self):
+        m = builtin_fig1()
+        with pytest.raises(ValueError):
+            explore(m, initial_config(m, "s1"), -1)
+
+    def test_graph_carries_root_and_frontier(self):
         m = builtin_fig1()
         c0 = initial_config(m, "s1")
         r = explore(m, c0, 1)
         assert r.root == c0
-        assert r.bound == 1
         assert r.truncated == bool(r.unexpanded)
         assert r.unexpanded == {Configuration("s1", (F(2), F(2)))}
 
@@ -305,8 +327,8 @@ class TestExplore:
         # explore steps the enabled profiles without re-checking their guards
         m = replace(builtin_fig1(), discounts={"I": discount_i, "II": F(1)})
         r = explore(m, initial_config(m, "s1"), 8)
-        assert len(r.edges) > 100
-        for src, prof, dst in r.edges:
+        assert len(r.succ) > 100
+        for (src, prof), dst in r.succ.items():
             (c, l), c2 = (src, dst[0]) if r.step_indexed else ((src, 1), dst)
             assert step(m, c, prof, l) == c2
 
@@ -316,18 +338,18 @@ class TestExplore:
         # duplicate successor is freed as soon as it is found
         m = replace(builtin_fig1(), discounts={"I": discount_i, "II": F(1)})
         r = explore(m, initial_config(m, "s1"), 8)
-        ids = {id(k) for k in r.nodes}
-        assert all(id(src) in ids and id(dst) in ids for src, _, dst in r.edges)
+        ids = {id(k) for k in r.pools}
+        assert all(id(src) in ids and id(dst) in ids for (src, _), dst in r.succ.items())
 
     def test_dot_output(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 1)
-        dot = to_dot(r)
+        dot = "".join(dot_lines(r))
         assert dot.startswith("digraph gcgmp {")
         assert 'label="s1 | 0,0"' in dot
         assert 'label="s1 | 2,2", style=dashed' in dot
         assert '[label="C,C"]' in dot
-        assert dot.count(" -> ") == len(r.edges)
+        assert dot.count(" -> ") == len(r.succ)
 
 
 # --- exact rationals -----------------------------------------------------------
@@ -394,8 +416,9 @@ class TestExactRationals:
             assert all(type(u) is int for u in c0.utilities if u.denominator == 1)
             r = explore(m, c0, 5)
             ref = explore(twin, Configuration(s0, tuple(start)), 5)
-            assert r.nodes == ref.nodes and r.edges == ref.edges
-            configs = [k[0] if r.step_indexed else k for k in r.nodes]
+            assert list(r.pools.items()) == list(ref.pools.items())
+            assert list(r.succ.items()) == list(ref.succ.items())
+            configs = [k[0] if r.step_indexed else k for k in r.pools]
             assert all(_exact(c.utilities) for c in configs)
             if _integral_run(m, start):
                 ints += 1
@@ -439,13 +462,13 @@ class TestExactRationals:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_saturated_clamp(self, seed, monkeypatch):
         seen = []
-        pools = checker.enabled_pools
+        pools = dynamics.enabled_pools
 
         def recording(m, c, cache):
             seen.append(c)
             return pools(m, c, cache)
 
-        monkeypatch.setattr(checker, "enabled_pools", recording)
+        monkeypatch.setattr(dynamics, "enabled_pools", recording)
         applied = 0
         for rng, m, twin, start in _exact_population(seed, 40):
             text = random_state_formula(rng, 2)
