@@ -188,18 +188,25 @@ def _cpre(agents, coalition, pools, succ, targets: frozenset, among) -> frozense
 
     The controllable predecessor of Alur, Henzinger & Kupferman (JACM 2002):
     some joint coalition move such that every opponent response leads into
-    ``targets``.  ``pools[n]`` lists each agent's actions at ``n`` in
-    ``agents`` order, and ``succ[(n, profile)]`` is the successor.  When no
-    opponent has an action the coalition wins vacuously; when a member has
-    none it loses.
+    ``targets``.  ``pools[n]`` is a tuple of each agent's actions at ``n``
+    in ``agents`` order, and ``succ[(n, profile)]`` is the successor.  When
+    no opponent has an action the coalition wins vacuously; when a member
+    has none it loses.  The profiles a coalition move meets depend on the
+    pool alone, so each distinct pool's plan (per move, its profiles) is
+    woven once per call; only the successor lookups read the node.
     """
     mi, oi, weave = _split(agents, coalition)
+    plans = {}
     out = set()
     for n in among:
         pool = pools[n]
-        responses = list(itertools.product(*[pool[i] for i in oi]))
-        for mv in itertools.product(*[pool[i] for i in mi]):
-            if all(succ[(n, weave(mv + ov))] in targets for ov in responses):
+        plan = plans.get(pool)
+        if plan is None:
+            responses = list(itertools.product(*[pool[i] for i in oi]))
+            plan = plans[pool] = [[weave(mv + ov) for ov in responses]
+                                  for mv in itertools.product(*[pool[i] for i in mi])]
+        for profiles in plan:
+            if all(succ[(n, p)] in targets for p in profiles):
                 out.add(n)
                 break
     return frozenset(out)
@@ -259,8 +266,8 @@ def _fixpoint(f: Formula, leaf, agents, pools, succ) -> frozenset:
 
 
 def _state_pools(m: Gcgmp) -> dict:
-    """Each state's available actions per agent, in agent order."""
-    return {s: [m.available_of(a, s) for a in m.agents] for s in m.states}
+    """Each state's available actions per agent, in agent order, as tuples."""
+    return {s: tuple(m.available_of(a, s) for a in m.agents) for s in m.states}
 
 
 def pre_states(m: Gcgmp, coalition: frozenset, targets: frozenset) -> frozenset:

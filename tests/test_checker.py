@@ -125,6 +125,10 @@ CHAIN = {
     ],
     "labels": {"t": ["q"]},
 }
+SWAP = {**CHAIN, "transitions": [  # s and t share a pool; only s steps into q
+    {"from": "s", "profile": {"a": "go"}, "to": "t"},
+    {"from": "t", "profile": {"a": "go"}, "to": "s"},
+]}
 
 
 # --- three-valued helpers ---------------------------------------------------
@@ -349,6 +353,8 @@ class TestQualitative:
     # U formulas whose first round wins a state: s steps into t, where q holds
     @example(mk(CHAIN), Coop(frozenset(), Until(TRUE, Prop("q"))))
     @example(mk(CHAIN), Not(Coop(frozenset({"a"}), Until(Not(Prop("q")), Prop("q")))))
+    # states with one pool whose successors differ: a plan is per pool, a successor is not
+    @example(mk(SWAP), Coop(frozenset({"a"}), Next(Prop("q"))))
     def test_fixpoints_match_the_textbook_iteration(self, m, f):
         f = within(f, frozenset(m.agents))
         assert capped_atl(m, f) == textbook_sat(m, f)

@@ -11,7 +11,10 @@ directory, and each seed runs that tree's own ``bench/run.py --workload W
 the change first on even ones.  Both sides use the benchmark's default run
 length.  The records are appended to ``parent.jsonl`` and ``change.jsonl``
 in ``--out`` (a new temporary directory by default, kept and printed), and the
-command ends with ``bench/run.py --compare`` on them.  ``git stash create``
+command ends with ``bench/run.py --compare`` on them, followed by each
+workload's median pass count on each side and their ratio: while the
+benchmark keeps every pass's outcomes, ``peak_rss_mb`` grows with the pass
+count, so a faster change also reads heavier.  ``git stash create``
 names a commit of the uncommitted changes to tracked files without touching
 the working tree.  The exit status is 1 when a benchmark run failed or the
 two sides' report fingerprints differ for a workload and seed, else 0.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,13 +49,20 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def fingerprints(path: str) -> dict:
-    """(workload, seed) -> report fingerprint, from a --record file."""
+def load_runs(path: str) -> list[dict]:
+    """The runs in a --record file, none if it was never written."""
     if not os.path.exists(path):
-        return {}
+        return []
     with open(path, encoding="utf-8") as fh:
-        recs = [json.loads(line) for line in fh if line.strip()]
-    return {(r["workload"], r["seed"]): r["fingerprint"] for r in recs}
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def median_passes(recs: list[dict]) -> dict:
+    """workload -> the median pass count of its runs."""
+    by_workload: dict = {}
+    for r in recs:
+        by_workload.setdefault(r["workload"], []).append(r["passes"])
+    return {w: statistics.median(n) for w, n in by_workload.items()}
 
 
 def main(argv=None) -> int:
@@ -79,7 +90,9 @@ def main(argv=None) -> int:
                 cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
                        "--seed", str(seed), "--record", records[side]]
                 failed |= subprocess.run(cmd, cwd=tree[side]).returncode != 0
-        prints = {side: fingerprints(path) for side, path in records.items()}
+        runs = {side: load_runs(path) for side, path in records.items()}
+        prints = {side: {(r["workload"], r["seed"]): r["fingerprint"] for r in recs}
+                  for side, recs in runs.items()}
         for key in sorted(prints["parent"]):
             if prints["parent"][key] != prints["change"].get(key):
                 print(f"pairs: {key[0]} seed {key[1]}: report fingerprints differ")
@@ -87,6 +100,10 @@ def main(argv=None) -> int:
         if all(prints.values()):
             subprocess.run([sys.executable, "bench/run.py", "--compare",
                             records["parent"], records["change"]], cwd=tree["change"])
+            passes = {side: median_passes(recs) for side, recs in runs.items()}
+            for w in sorted(passes["parent"].keys() & passes["change"].keys()):
+                p, c = passes["parent"][w], passes["change"][w]
+                print(f"pairs: {w} median passes {p:g} -> {c:g} (x{c / p:.2f})")
     print(f"pairs: records in {out}")
     return 1 if failed else 0
 
