@@ -182,7 +182,7 @@ MAX_SWEEPS = 4000  # sweeps (proponent assignments) one coalition node may try
 # --- qualitative fixpoints ---------------------------------------------------
 
 
-def _cpre(agents, coalition, pools, succ, targets: frozenset, among) -> frozenset:
+def _cpre(agents, coalition, pools, succ, targets, among, won=None, lost=None) -> frozenset:
     """Nodes of ``among`` from which the coalition can force the next node
     into targets.
 
@@ -194,10 +194,15 @@ def _cpre(agents, coalition, pools, succ, targets: frozenset, among) -> frozense
     has none it loses.  The profiles a coalition move meets depend on the
     pool alone, so each distinct pool's plan (per move, its profiles) is
     woven once per call; only the successor lookups read the node.
+
+    Without ``won`` the winners are returned.  A fixpoint round passes its
+    set as ``targets`` and its ``add`` as ``won`` or ``discard`` as ``lost``:
+    ``among`` is examined in order, each node against the updated set.
     """
     mi, oi, weave = _split(agents, coalition)
     plans = {}
     out = set()
+    won = won or out.add
     for n in among:
         pool = pools[n]
         plan = plans.get(pool)
@@ -207,8 +212,11 @@ def _cpre(agents, coalition, pools, succ, targets: frozenset, among) -> frozense
                                   for mv in itertools.product(*[pool[i] for i in mi])]
         for profiles in plan:
             if all(succ[(n, p)] in targets for p in profiles):
-                out.add(n)
+                won(n)
                 break
+        else:
+            if lost:
+                lost(n)
     return frozenset(out)
 
 
@@ -229,11 +237,22 @@ def _fixpoint(f: Formula, leaf, agents, pools, succ) -> frozenset:
 
     The game is ``pools`` and ``succ`` as ``_cpre`` reads them, and its
     nodes are the keys of ``pools``; ``leaf(g)`` gives the nodes satisfying
-    a formula without connectives or modalities.  Rounds are semi-naive:
-    ``_cpre`` is monotone, so a node U has won stays won and a node G has
-    lost stays lost, and each round examines only the nodes still open.
+    a formula without connectives or modalities.  A round examines only the
+    nodes still open (U: not yet won, G: not yet lost), newest key of
+    ``pools`` first, since keys mostly precede their successors, and updates
+    the set in place: a U round adds a node as soon as it wins, a G round
+    drops one as soon as it loses.  Sound as ``_cpre`` is monotone: a U set
+    stays below the least fixpoint and a G set above the greatest.
     """
-    every = frozenset(pools)
+    every, newest = frozenset(pools), list(reversed(pools))
+
+    def rounds(co, z: set, open_: list, keep: bool, **update) -> frozenset:
+        while True:  # open_ is the nodes whose membership in z is not final
+            _cpre(agents, co, pools, succ, z, open_, **update)
+            still = [n for n in open_ if (n in z) is keep]
+            if len(still) == len(open_):
+                return frozenset(z)
+            open_ = still
 
     def sat(g) -> frozenset:
         if isinstance(g, Tru):
@@ -247,22 +266,17 @@ def _fixpoint(f: Formula, leaf, agents, pools, succ) -> frozenset:
             if isinstance(body, Next):
                 return _cpre(agents, co, pools, succ, sat(body.sub), every)
             if isinstance(body, Always):  # greatest fixpoint, from phi down
-                z = sat(body.sub)
-                while True:
-                    z2 = _cpre(agents, co, pools, succ, z, z)
-                    if z2 == z:
-                        return z
-                    z = z2
+                z = set(sat(body.sub))
+                return rounds(co, z, [n for n in newest if n in z], True, lost=z.discard)
             if isinstance(body, Until):  # least fixpoint, from phi2 up
-                phi1, z = sat(body.left), sat(body.right)
-                while True:
-                    won = _cpre(agents, co, pools, succ, z, phi1 - z)
-                    if not won:
-                        return z
-                    z = z | won
+                phi1, z = sat(body.left), set(sat(body.right))
+                return rounds(co, z, [n for n in newest if n in phi1 and n not in z],
+                              False, won=z.add)
         return leaf(g)
 
-    return sat(f)
+    z = sat(f)
+    del sat  # sat's closure holds sat: free the game when the call returns
+    return z
 
 
 def _state_pools(m: Gcgmp) -> dict:
@@ -997,15 +1011,15 @@ def check(m: Gcgmp, c0: Configuration, f: Formula, sp: StrategyClassSpec = ML_CO
     if engine != "auto" and engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick auto or one of {ENGINES}")
     budget = Budget(budget) if isinstance(budget, int) else budget
-    for name in ENGINES if engine == "auto" else (engine,):
+    names = ENGINES if engine == "auto" else (engine,)
+    for name in names:
         try:
-            got = _run(name, m, c0, f, sp, so, budget)
-        except NotApplicable as e:
-            refusal = e
-            continue
-        return {"engine": name, "strategy_class": {"proponents": sp.short,
-                                                   "opponents": so.short}, **got}
-    raise refusal
+            return {"engine": name, "strategy_class": {"proponents": sp.short,
+                                                       "opponents": so.short},
+                    **_run(name, m, c0, f, sp, so, budget)}
+        except NotApplicable:
+            if name == names[-1]:
+                raise  # bare: a name for it here would form a cycle with its traceback
 
 
 # --- literal play checking ---------------------------------------------------

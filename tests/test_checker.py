@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -131,6 +132,28 @@ SWAP = {**CHAIN, "transitions": [  # s and t share a pool; only s steps into q
 ]}
 
 
+def one_agent_graph(moves: dict, labels: dict) -> dict:
+    """A game of agent ``a`` alone: ``moves[s]`` maps each action available
+    at ``s`` to its target, and the states are listed in ``moves``' order."""
+    rows = [(s, act, to) for s, acts in moves.items() for act, to in acts.items()]
+    return {"agents": ["a"], "states": list(moves), "actions": {"a": ["x", "y"]},
+            "available": {s: {"a": list(acts)} for s, acts in moves.items()},
+            "transitions": [{"from": s, "profile": {"a": act}, "to": to}
+                            for s, act, to in rows],
+            "payoffs": [{"state": s, "profile": {"a": act}, "values": {"a": "0"}}
+                        for s, act, _ in rows],
+            "labels": labels}
+
+
+# s3 and s2 fall into g, s1 follows s2 and s0 follows s1, while s4 may loop.
+# Listed so that a fixpoint round, which visits the newest state first, meets
+# s3, s2, s4, s0, s1: a U or G round carries s3's change on to s2 and s1 at
+# once, s0 waits one round for s1, and s4 steps into s2 but need not.
+LADDER = one_agent_graph({"s1": {"x": "s2"}, "s0": {"x": "s1"}, "s4": {"x": "s2", "y": "s4"},
+                          "s2": {"x": "s3"}, "s3": {"x": "g"}, "g": {"x": "g"}},
+                         {"g": ["q"]})
+
+
 # --- three-valued helpers ---------------------------------------------------
 
 
@@ -249,11 +272,11 @@ def capped_cpre(cap):
     instead of hanging it."""
     cpre, work = checker._cpre, {"calls": 0, "examined": 0}
 
-    def capped(agents, coalition, pools, succ, targets, among):
+    def capped(agents, coalition, pools, succ, targets, among, **update):
         work["calls"] += 1
         assert work["calls"] <= cap, f"more than {cap} _cpre calls in one check"
         work["examined"] += len(among)
-        return cpre(agents, coalition, pools, succ, targets, among)
+        return cpre(agents, coalition, pools, succ, targets, among, **update)
 
     checker._cpre = capped
     try:
@@ -355,6 +378,10 @@ class TestQualitative:
     @example(mk(CHAIN), Not(Coop(frozenset({"a"}), Until(Not(Prop("q")), Prop("q")))))
     # states with one pool whose successors differ: a plan is per pool, a successor is not
     @example(mk(SWAP), Coop(frozenset({"a"}), Next(Prop("q"))))
+    # fixpoints whose rounds carry a change back along several edges:
+    # {g, s3, s2, s1, s0} and {s4}, each in 3 _cpre calls (5 without that)
+    @example(mk(LADDER), Coop(frozenset(), Until(TRUE, Prop("q"))))
+    @example(mk(LADDER), Coop(frozenset({"a"}), Always(Not(Prop("q")))))
     def test_fixpoints_match_the_textbook_iteration(self, m, f):
         f = within(f, frozenset(m.agents))
         assert capped_atl(m, f) == textbook_sat(m, f)
@@ -375,6 +402,46 @@ def test_fixpoint_rounds_examine_only_open_states():
         "<<B>> G !goal": (225, 19650),
         "<<A,B>>(true U goal)": (300, 44850),
     }
+
+
+def test_fixpoint_rounds_carry_a_win_back_within_a_round():
+    # the same ring listed r0..r299: newest first, a round meets each state
+    # after its successor, so the first round decides every state and the
+    # second only confirms it
+    doc = ring_doc(300)
+    m = model_from_dict({**doc, "states": doc["states"][::-1]})
+    got = {}
+    for text in ["<<A>>(true U goal)", "<<B>> G !goal", "<<A,B>>(true U goal)"]:
+        with capped_cpre(len(m.states) + 1) as work:
+            won = check_atl(m, fml(m, text))
+        got[text] = (len(won), work["calls"], work["examined"])
+    assert got == {
+        "<<A>>(true U goal)": (75, 2, 524),
+        "<<B>> G !goal": (225, 2, 524),
+        "<<A,B>>(true U goal)": (300, 2, 299),
+    }
+
+
+def test_checks_leave_no_cyclic_garbage(fig1):
+    # each check's game goes when the call returns, and the refusals auto
+    # passes over keep no frame alive: atl refuses the atom and saturated
+    # fig1's negative payoffs before bounded answers
+    ring = model_from_dict(ring_doc(300))
+    loop = one_agent_loop([("inc", 1), ("skip", 0)])
+    gc.collect()
+    gc.disable()
+    try:
+        check_atl(ring, fml(ring, "<<A>>(true U goal)"))
+        check_atl(ring, fml(ring, "<<B>> G !goal"))
+        assert gc.collect() == 0
+        check_saturated(loop, Configuration("s", (F(0),)), fml(loop, "<<a>> G (v_a <= 2)"))
+        assert gc.collect() == 0
+        got = checker.check(fig1, Configuration("s1", (0, 0)),
+                            fml(fig1, "<<I>> G (p1 | v_I > 0)"), budget=150)
+        assert got["engine"] == "bounded"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- saturation engine ------------------------------------------------------
