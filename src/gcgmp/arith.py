@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-from .errors import MultiVariable, ParseError, UnboundVariable
+from .errors import MultiVariable, ParseError, UnboundVariable, echo
 
 RELS = ("<", "<=", "=", ">=", ">")
 
@@ -248,42 +248,28 @@ def normalize_atom(a: AtomicConstraint):
 # --- single-variable validity ----------------------------------------------
 
 
+def regions(f: ConstraintFormula, x: str | None) -> tuple[list, list]:
+    """Sorted thresholds of ``f`` in ``x``, and one sample point per region of
+    constant truth, ascending: the thresholds, the midpoints between them and
+    a point beyond each extreme, so ``points[2*i + 1]`` is ``thresholds[i]``
+    (just 0 when there is none).  ``f`` may mention no variable but ``x``
+    (MultiVariable otherwise), so every atom reduces to ``n*x rel d``, whose
+    truth changes only at ``d/n``."""
+    others = acf_variables(f) - {x}
+    if others:
+        raise MultiVariable(f"expected only v_{x}, got {sorted(others)}")
+    ts = sorted({Fraction(shape[3], shape[1][x])
+                 for shape in map(normalize_atom, acf_atoms(f)) if shape[0] == "sum"})
+    inner = [p for lo, hi in zip(ts, ts[1:]) for p in (lo, (lo + hi) / 2)]
+    return ts, ([ts[0] - 1, *inner, ts[-1], ts[-1] + 1] if ts else [Fraction(0)])
+
+
 def validity_counterexample(f: ConstraintFormula):
-    """A rational point falsifying ``f``, or None when ``f`` is valid.
-
-    ``f`` may mention at most one utility variable (MultiVariable otherwise).
-    Every atom then reduces to ``n*x rel d``, whose truth changes only at the
-    threshold ``d/n``; sampling each threshold, the midpoints between
-    consecutive thresholds, and a point beyond each extreme therefore covers
-    every region of constant truth.
-    """
-    vs = acf_variables(f)
-    if len(vs) > 1:
-        raise MultiVariable(f"expected at most one variable, got {sorted(vs)}")
-    if not vs:
-        return None if eval_acf(f, {}) else Fraction(0)
-    x = vs.pop()
-
-    thresholds: set[Fraction] = set()
-    for a in acf_atoms(f):
-        shape = normalize_atom(a)
-        if shape[0] == "sum":
-            _, counts, _rel, d = shape
-            thresholds.add(Fraction(d, counts[x]))
-    if not thresholds:
-        points = [Fraction(0)]
-    else:
-        ts = sorted(thresholds)
-        points = [ts[0] - 1]
-        for lo, hi in zip(ts, ts[1:]):
-            points.append(lo)
-            points.append((lo + hi) / 2)
-        points.append(ts[-1])
-        points.append(ts[-1] + 1)
-    for p in points:
-        if not eval_acf(f, {x: p}):
-            return p
-    return None
+    """A rational point falsifying ``f``, or None when ``f`` is valid: the first
+    of its ``regions`` sample points where it fails.  ``f`` may mention at most
+    one utility variable (MultiVariable otherwise)."""
+    x = min(acf_variables(f), default=None)
+    return next((p for p in regions(f, x)[1] if not eval_acf(f, {x: p})), None)
 
 
 # --- concrete syntax --------------------------------------------------------
@@ -313,7 +299,7 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError("dangling '-'", col=i, expected="digits")
             while j < n and text[j].isdecimal():
                 j += 1
-            num, den = text[i:j], "1"
+            num, den, slash = text[i:j], "1", j
             if j < n and text[j] == "/":
                 k = j + 1
                 if k >= n or not text[k].isdecimal():
@@ -321,10 +307,14 @@ def tokenize(text: str) -> list[Token]:
                 while k < n and text[k].isdecimal():
                     k += 1
                 den = text[j + 1:k]
-                if not int(den):
-                    raise ParseError("zero denominator", col=j + 1)
                 j = k
-            toks.append(Token("number", text[i:j], Fraction(int(num), int(den)), i))
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                value = Fraction(int(num), int(den))
+            except ValueError:
+                raise ParseError("number too long", col=i) from None
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", col=slash + 1) from None
+            toks.append(Token("number", text[i:j], value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -346,7 +336,7 @@ def tokenize(text: str) -> list[Token]:
                 i += len(p)
                 break
         else:
-            raise ParseError(f"unexpected character {ch!r}", col=i)
+            raise ParseError(f"unexpected character {echo(ch)}", col=i)
     return toks
 
 
@@ -383,7 +373,7 @@ class TokenStream:
         if tok is None:
             raise ParseError("unexpected end of input", col=len(self.text), expected=kind)
         if kind is not None and tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text!r}", col=tok.pos, expected=kind)
+            raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected=kind)
         self.i += 1
         return tok
 
@@ -394,7 +384,7 @@ class TokenStream:
     def expect_end(self):
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", col=tok.pos, expected="end of input")
+            raise ParseError(f"trailing input {echo(tok.text)}", col=tok.pos, expected="end of input")
 
 
 def parse_term_tokens(ts: TokenStream) -> Term:
@@ -415,7 +405,7 @@ def _parse_summand(ts: TokenStream) -> Summand:
     if tok.kind == "number":
         ts.take()
         return tok.value
-    raise ParseError(f"unexpected {tok.text!r}", col=tok.pos, expected="variable or rational")
+    raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected="variable or rational")
 
 
 def parse_acf_tokens(ts: TokenStream) -> ConstraintFormula:

@@ -40,8 +40,11 @@ in the graph they run it on:
     does not answer for.
 
 The oracle and ``replay_strategy_table``, the audit of a True verdict's
-strategy table, share one literal play checker, ``_Literal``, which uses
-none of the engines' successor or pool code.
+strategy table, share one literal play checker, ``_Literal``.  It reads no
+region table: every guard it meets is evaluated by ``arith.eval_acf``,
+through ``Gcgmp.enabled_actions`` and ``dynamics.step``'s re-check.  What it
+shares with the engines is the model's step table, which ``step`` reads
+through ``dynamics.successor`` once the guards pass.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import arith
 from .arith import _REL_FN, PathConstraint, eval_atom, exact, normalize_atom
 from .dynamics import Configuration, Play, enabled_pools, explore, play_value, step, successor
 from .errors import (
@@ -62,6 +64,7 @@ from .errors import (
     NotMonotone,
     TooLarge,
     VariableVsVariableAtom,
+    echo,
 )
 from .logic import (
     CHILDREN,
@@ -345,16 +348,16 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
         for a, p in zip(m.agents, pays):
             if p < 0:
                 raise NotMonotone(
-                    f"payoff {p} for agent {a!r} at state {s!r} under "
-                    f"{prof!r} is negative"
+                    f"payoff {echo(p, str)} for agent {echo(a)} at state {echo(s)} under "
+                    f"{echo(prof)} is negative"
                 )
     for a, kind in zip(m.agents, m.discount_kinds):
         if kind != "one":
-            raise NotMonotone(f"agent {a!r} has discount {m.discounts.get(a)}; "
+            raise NotMonotone(f"agent {echo(a)} has discount {echo(m.discounts.get(a), str)}; "
                               "saturation needs 1")
     for a, u in zip(m.agents, c0.utilities):
         if u < 0:
-            raise NotMonotone(f"start utility {u} for agent {a!r} is negative")
+            raise NotMonotone(f"start utility {echo(u, str)} for agent {echo(a)} is negative")
 
     cap = exact(saturation_cap(m, f))
     game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=cap)
@@ -363,9 +366,13 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
     def leaf(g) -> frozenset:  # outside NGL_STAR, a leaf is a proposition or an atom
         if isinstance(g, Prop):
             return frozenset(n for n in pools if g.name in m.label_of(n.state))
-        return frozenset(
-            n for n in pools if eval_atom(g.atom, dict(zip(m.agents, n.utilities)))
-        )
+        shape = normalize_atom(g.atom)  # "const" or "sum": saturation_cap refused "mixed"
+        if shape[0] == "const":
+            return frozenset(pools) if shape[1] else frozenset()
+        _, counts, rel, d = shape
+        terms = [(m.agent_index(x), k) for x, k in counts.items()]
+        holds, d = _REL_FN[rel], exact(d)  # an int d compares with int utilities in C
+        return frozenset(n for n in pools if holds(sum([n.utilities[i] * k for i, k in terms]), d))
 
     return Verdict(game.root in _fixpoint(f, leaf, m.agents, pools, game.succ))
 
@@ -406,8 +413,8 @@ class _Ctx:
     object that stands for it, the root included, so ``succ_cache`` and
     ``pool_cache`` key on ``id(c)`` and equal configurations meet by
     identity instead of comparing utilities.  ``pools(c)`` gives every
-    agent's guard-enabled actions at once, filled from ``enabled_cache`` on
-    (agent, state, own utility).  ``formula`` hash-conses formula nodes, so
+    agent's guard-enabled actions at once, read off the model's region
+    tables.  ``formula`` hash-conses formula nodes, so
     the memo keys on ``id(g)`` and equal subformulas share its entries.
     """
 
@@ -418,7 +425,6 @@ class _Ctx:
     nodes_used: int = 0
     canon: dict = field(default_factory=dict)
     formulas: dict = field(default_factory=dict)
-    enabled_cache: dict = field(default_factory=dict)
     pool_cache: dict = field(default_factory=dict)
     succ_cache: dict = field(default_factory=dict)
 
@@ -442,7 +448,7 @@ class _Ctx:
         interned configuration."""
         hit = self.pool_cache.get(id(c))
         if hit is None:
-            hit = self.pool_cache[id(c)] = enabled_pools(self.m, c, self.enabled_cache)
+            hit = self.pool_cache[id(c)] = enabled_pools(self.m, c)
         return hit
 
     def succ(self, c: Configuration, prof: tuple, l: int) -> Configuration:
@@ -953,7 +959,7 @@ def _run(engine: str, m: Gcgmp, c0: Configuration, f: Formula, sp, so, budget: B
     if engine == "atl":
         if classify(f) is not FragmentTag.ATL_PURE:
             raise NotApplicable("the atl engine handles only constraint-free state formulas")
-        if not all(arith.validity_counterexample(g) is None for g in m.guards.values()):
+        if not all(act in r for a, s, act in m.guards for r in m.regions(a, s)[2]):
             raise NotApplicable("the atl engine ignores guards, so it applies only "
                                 "when every guard always holds")
         winning = check_atl(m, f)
@@ -1009,7 +1015,7 @@ def check(m: Gcgmp, c0: Configuration, f: Formula, sp: StrategyClassSpec = ML_CO
     them.
     """
     if engine != "auto" and engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; pick auto or one of {ENGINES}")
+        raise ValueError(f"unknown engine {echo(engine)}; pick auto or one of {ENGINES}")
     budget = Budget(budget) if isinstance(budget, int) else budget
     names = ENGINES if engine == "auto" else (engine,)
     for name in names:
@@ -1241,7 +1247,7 @@ def enumerate_oracle(
         raise TooLarge(f"{len(m.states)} states is beyond the oracle's scale")
     for a in m.agents:
         if len(m.actions[a]) > 2:
-            raise TooLarge(f"agent {a!r} has more than two actions")
+            raise TooLarge(f"agent {echo(a)} has more than two actions")
     if depth > 8:
         raise TooLarge(f"depth {depth} is beyond the oracle's scale")
     _check_supported(f)
@@ -1273,7 +1279,7 @@ def enumerate_oracle(
         elif isinstance(g, Coop):
             v = solve(g, c, l)
         else:
-            raise FragmentError(f"unsupported formula node: {g!r}")
+            raise FragmentError(f"unsupported formula node: {echo(g)}")
         if v is not None:
             memo[key] = v
         return v

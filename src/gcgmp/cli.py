@@ -38,7 +38,7 @@ from .dynamics import (
     play_value,
     step,
 )
-from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError
+from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError, echo
 from .logic import (
     STRATEGY_CLASSES,
     StrategyClassSpec,
@@ -75,9 +75,9 @@ def _load_model(path: str):
     try:
         return load_model(path)
     except OSError as e:
-        raise CliInputError(f"cannot read model {path!r}: {e}") from e
+        raise CliInputError(f"cannot read model {echo(path)}: {e.strerror or e}") from e
     except (GcgmpError, ValueError, KeyError, json.JSONDecodeError) as e:
-        raise CliInputError(f"bad model file {path!r}: {e}") from e
+        raise CliInputError(f"bad model file {echo(path)}: {e}") from e
 
 
 def _load_tcm(path: str):
@@ -91,9 +91,9 @@ def _load_tcm(path: str):
     try:
         return load_tcm(path)
     except OSError as e:
-        raise CliInputError(f"cannot read machine {path!r}: {e}") from e
+        raise CliInputError(f"cannot read machine {echo(path)}: {e.strerror or e}") from e
     except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise CliInputError(f"bad machine file {path!r}: {e}") from e
+        raise CliInputError(f"bad machine file {echo(path)}: {e}") from e
 
 
 def _bound_formula(m, text: str):
@@ -109,7 +109,7 @@ def _bound_formula(m, text: str):
     if undeclared:
         raise CliInputError(
             "formula does not fit the model: undeclared propositions "
-            + ", ".join(undeclared)
+            + echo(", ".join(undeclared), str)
         )
     if not is_state_formula(f):
         raise CliInputError("checking needs a state formula (wrap path operators in <<...>>)")
@@ -121,11 +121,11 @@ def _parse_init(m, text: str | None):
         return initial_config(m, min(m.states))
     state, sep, rest = text.partition(":")
     if state not in m.states:
-        raise CliInputError(f"unknown initial state {state!r}")
+        raise CliInputError(f"unknown initial state {echo(state)}")
     if not sep or not rest.strip():
         return initial_config(m, state)
     try:  # names the bad part as the model loader does
-        utilities = [_rational(part.strip(), f"bad initial utilities {rest!r}")
+        utilities = [_rational(part.strip(), f"bad initial utilities {echo(rest)}")
                      for part in rest.split(",")]
     except ParseError as e:
         raise CliInputError(str(e)) from e
@@ -146,14 +146,14 @@ def _writing(path: str):
     try:
         yield
     except OSError as e:
-        raise CliInputError(f"cannot write {path!r}: {e}") from e
+        raise CliInputError(f"cannot write {echo(path)}: {e.strerror or e}") from e
 
 
 def _require_wellformed(m, path):
     problems = validate(m)
     if problems:
         raise CliInputError(
-            f"model {path!r} is not well-formed: {len(problems)} violation(s), "
+            f"model {echo(path)} is not well-formed: {len(problems)} violation(s), "
             f"first {problems[0]}; run `gcgmp validate` for the list"
         )
 
@@ -213,11 +213,11 @@ def _parse_profile_script(m, text: str):
         acts = tuple(chunk.split(","))
         if len(acts) != len(m.agents):
             raise CliInputError(
-                f"profile {chunk!r} has {len(acts)} actions for {len(m.agents)} agents"
+                f"profile {echo(chunk)} has {len(acts)} actions for {len(m.agents)} agents"
             )
         for agent, act in zip(m.agents, acts):
             if act not in m.actions.get(agent, ()):
-                raise CliInputError(f"agent {agent!r} has no action {act!r}")
+                raise CliInputError(f"agent {echo(agent)} has no action {echo(act)}")
         profiles.append(acts)
     if not profiles:
         raise CliInputError("empty profile script")
@@ -229,11 +229,11 @@ def _load_strategy(m, path: str):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise CliInputError(f"cannot read strategy {path!r}: {e}") from e
+        raise CliInputError(f"cannot read strategy {echo(path)}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
-        raise CliInputError(f"bad strategy file {path!r}: {e}") from e
+        raise CliInputError(f"bad strategy file {echo(path)}: {e}") from e
     if not isinstance(doc, dict):
-        raise CliInputError(f"bad strategy file {path!r}: not a JSON object")
+        raise CliInputError(f"bad strategy file {echo(path)}: not a JSON object")
     try:
         spec = StrategyClassSpec.parse(doc.get("class", "ml-config"))
     except ValueError as e:
@@ -244,7 +244,7 @@ def _load_strategy(m, path: str):
         for t in moves.values()
     ):
         raise CliInputError(
-            f"bad strategy file {path!r}: moves must map agents to tables of actions"
+            f"bad strategy file {echo(path)}: moves must map agents to tables of actions"
         )
     foreign = set(moves) - set(m.agents)
     if foreign:

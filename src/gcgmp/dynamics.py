@@ -21,8 +21,10 @@ the cycle); a ``total`` play value exists only on an exact lasso.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, NamedTuple, Optional
 
 from .arith import Rational, eval_acf, exact
@@ -33,6 +35,7 @@ from .errors import (
     InvalidState,
     NotLasso,
     UndiscountedDiscounted,
+    echo,
 )
 from .model import Gcgmp, Profile, ValueSemantics
 
@@ -71,14 +74,15 @@ def enabled_actions(m: Gcgmp, c: Configuration, agent: str) -> frozenset[str]:
     return frozenset(m.enabled_actions(agent, c.state, c.utilities[idx]))
 
 
-def enabled_pools(m: Gcgmp, c: Configuration, cache: dict) -> tuple:
-    """Each agent's guard-enabled actions at ``c``, in agent order.  ``cache``
-    keeps them on (agent, state, own utility), which is all a guard reads."""
+def enabled_pools(m: Gcgmp, c: Configuration) -> tuple:
+    """Each agent's guard-enabled actions at ``c``, in agent order, read off
+    the model's region tables: the point region when the utility is a
+    threshold, else the interval region below the next threshold up."""
     pools = []
-    for key in zip(m.agents, itertools.repeat(c.state), c.utilities):
-        if key not in cache:
-            cache[key] = m.enabled_actions(*key)
-        pools.append(cache[key])
+    for a, u in zip(m.agents, c.utilities):
+        ts, _, enabled = m.region_tables.get((a, c.state)) or m.regions(a, c.state)
+        i = bisect_left(ts, u)
+        pools.append(enabled[2 * i + (i < len(ts) and ts[i] == u)])
     return tuple(pools)
 
 
@@ -89,7 +93,7 @@ def step(m: Gcgmp, c: Configuration, profile: Profile, step_index: int = 1) -> C
     lexicographically least of them, so failures are deterministic.
     """
     if len(profile) != len(m.agents):
-        raise ValueError(f"profile {profile!r} has wrong arity for {len(m.agents)} agents")
+        raise ValueError(f"profile {echo(profile)} has wrong arity for {len(m.agents)} agents")
     blocked = []
     for i, (agent, act) in enumerate(zip(m.agents, profile)):
         if act not in m.available_of(agent, c.state):
@@ -107,19 +111,23 @@ def step(m: Gcgmp, c: Configuration, profile: Profile, step_index: int = 1) -> C
 def successor(m: Gcgmp, c: Configuration, profile: Profile, step_index: int) -> Configuration:
     """The configuration one unchecked step later: no availability or guard test.
 
-    Discounts 1 and 0 (at positive step indices) take a shortcut around the
-    ``Fraction`` power, which dominates deep undiscounted searches.
+    Reads the model's step table, compiled once per (state, profile): the
+    target and each agent's increment, its payoff under discount 1 and 0
+    under discount 0 (step indices count from 1); any other discount d has
+    (d, payoff) in ``scaled`` and adds ``d ** step_index * payoff``.
     """
-    us = []
-    pays = m.payoffs[(c.state, profile)]
-    for a, kind, u, p in zip(m.agents, m.discount_kinds, c.utilities, pays):
-        if kind == "one":
-            us.append(u + p)
-        elif kind == "zero" and step_index > 0:
-            us.append(u)
-        else:
-            us.append(u + m.discounts[a] ** step_index * p)
-    return Configuration(m.transitions[(c.state, profile)], tuple(us))
+    key = (c.state, profile)
+    entry = m.step_table.get(key)
+    if entry is None:
+        pays, kinds = m.payoffs[key], m.discount_kinds
+        entry = m.step_table[key] = (
+            m.transitions[key], tuple(p if k == "one" else 0 for k, p in zip(kinds, pays)),
+            tuple((m.discounts[a], p) if k == "step" else None
+                  for a, k, p in zip(m.agents, kinds, pays)) if m.step_indexed else ())
+    target, adds, scaled = entry
+    if scaled:
+        adds = [x if s is None else s[0] ** step_index * s[1] for x, s in zip(adds, scaled)]
+    return Configuration(target, tuple(map(add, c.utilities, adds)))
 
 
 @dataclass(frozen=True)
@@ -141,8 +149,8 @@ class Play:
             raise NotLasso(f"loop index {self.loop} outside the play")
         if self.configs[-1].state != self.configs[self.loop].state:
             raise NotLasso(
-                f"final state {self.configs[-1].state!r} does not rejoin "
-                f"position {self.loop} ({self.configs[self.loop].state!r})"
+                f"final state {echo(self.configs[-1].state)} does not rejoin "
+                f"position {self.loop} ({echo(self.configs[self.loop].state)})"
             )
 
     @property
@@ -210,7 +218,7 @@ def play_value(m: Gcgmp, play: Play, agent: str) -> Fraction:
     if m.value_semantics is ValueSemantics.DISCOUNTED:
         if d >= 1:
             raise UndiscountedDiscounted(
-                f"agent {agent!r} has discount {d}; discounted values need d < 1"
+                f"agent {echo(agent)} has discount {echo(d, str)}; discounted values need d < 1"
             )
         prefix = sum(
             (d ** (play.start_index + i)
@@ -272,17 +280,16 @@ def explore(m: Gcgmp, init: Configuration, depth: Optional[int] = None,
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be non-negative")
-    indexed = m.step_indexed
+    indexed, caps = m.step_indexed, itertools.repeat(cap)
 
     def clamp(c: Configuration) -> Configuration:
-        return Configuration(c.state, tuple(min(u, cap) for u in c.utilities))
+        return Configuration(c.state, tuple(map(min, c.utilities, caps)))
 
     if cap is not None:
         init = clamp(init)
     root = (init, 1) if indexed else init
     seen = {root: root}  # one stored copy per node; edges share it
-    enabled: dict = {}
-    pools = {root: enabled_pools(m, init, enabled)}
+    pools = {root: enabled_pools(m, init)}
     succ: dict = {}
     unexpanded = set()
     frontier = [(init, 1, root)]
@@ -295,12 +302,12 @@ def explore(m: Gcgmp, init: Configuration, depth: Optional[int] = None,
         for c, l, k in frontier:
             for prof in itertools.product(*pools[k]):  # enabled: no guard re-check
                 c2 = successor(m, c, prof, l)
-                if cap is not None:
+                if cap is not None and c2.utilities and max(c2.utilities) > cap:
                     c2 = clamp(c2)
                 k2 = (c2, l + 1) if indexed else c2
                 known = succ[(k, prof)] = seen.setdefault(k2, k2)
                 if known is k2:
-                    pools[k2] = enabled_pools(m, c2, enabled)
+                    pools[k2] = enabled_pools(m, c2)
                     nxt.append((c2, l + 1, k2))
         frontier = nxt
         dist += 1

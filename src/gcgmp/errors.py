@@ -4,6 +4,14 @@ Everything raised on purpose derives from GcgmpError so callers (and the CLI)
 can distinguish domain failures from genuine bugs.
 """
 
+ECHO_LIMIT = 100  # the most characters of one input that a diagnostic quotes
+
+
+def echo(x, show=repr) -> str:
+    """``show(x)``, its middle cut out past ``ECHO_LIMIT`` characters."""
+    text, keep = show(x), (ECHO_LIMIT - 3) // 2
+    return text if len(text) <= ECHO_LIMIT else f"{text[:keep]}...{text[-keep:]}"
+
 
 class GcgmpError(Exception):
     """Base class for all errors raised by this package."""

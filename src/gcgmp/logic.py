@@ -33,7 +33,7 @@ from typing import Iterator, Union
 
 from . import arith
 from .arith import AtomicConstraint, PathConstraint, TokenStream
-from .errors import FragmentError, ParseError, UnknownAgent
+from .errors import FragmentError, ParseError, UnknownAgent, echo
 from .model import Gcgmp
 
 
@@ -200,7 +200,7 @@ class StrategyClassSpec:
     def parse(text: str) -> "StrategyClassSpec":
         if not isinstance(text, str) or text not in STRATEGY_CLASSES:
             raise ValueError(
-                f"unknown strategy class {text!r}; pick one of {sorted(STRATEGY_CLASSES)}"
+                f"unknown strategy class {echo(text)}; pick one of {sorted(STRATEGY_CLASSES)}"
             )
         return STRATEGY_CLASSES[text]
 
@@ -265,7 +265,7 @@ def bind_formula(m: Gcgmp, f: Formula) -> Formula:
     """
     for a in sorted(formula_agents(f)):
         if a not in m.agents:
-            raise UnknownAgent(f"agent {a!r} is not in the model")
+            raise UnknownAgent(f"agent {echo(a)} is not in the model")
     return f
 
 
@@ -379,10 +379,10 @@ def _parse_primary(ts: TokenStream) -> Formula:
             ts.take()
             return Not(TRUE)
         if tok.value in _RESERVED:
-            raise ParseError(f"misplaced {tok.value!r}", col=tok.pos, expected="formula")
+            raise ParseError(f"misplaced {echo(tok.value)}", col=tok.pos, expected="formula")
         ts.take()
         return Prop(tok.value)
-    raise ParseError(f"unexpected {tok.text!r}", col=tok.pos, expected="formula")
+    raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected="formula")
 
 
 # --- printing --------------------------------------------------------------

@@ -37,6 +37,7 @@ value maps); everything else is `validate`'s business.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -49,7 +50,7 @@ from typing import Iterator
 
 from . import arith
 from .arith import ACF_TRUE, ConstraintFormula, Rational, eval_acf, exact
-from .errors import InvalidState, ParseError, UnknownAgent, UnknownIdentifier
+from .errors import InvalidState, MultiVariable, ParseError, UnknownAgent, UnknownIdentifier, echo
 
 Profile = tuple[str, ...]
 
@@ -64,6 +65,13 @@ class ValueSemantics(Enum):
 
 @dataclass(frozen=True)
 class Gcgmp:
+    """A model as loaded, and what it compiles to.  Each guard and step is
+    compiled once, on first use, and kept: ``region_tables`` per (agent,
+    state), built by `regions` and read by the configuration engines through
+    `dynamics.enabled_pools`, `validate` and `checker.check`'s atl gate; and
+    ``step_table`` per (state, profile), read by `dynamics.successor`.
+    `enabled_actions` stays literal, as the brute-force oracle reads it."""
+
     agents: tuple[str, ...]
     states: tuple[str, ...]
     actions: Mapping[str, tuple[str, ...]]
@@ -90,6 +98,8 @@ class Gcgmp:
         # otherwise every d is 0 or 1 and a repeated configuration closes a lasso
         object.__setattr__(self, "step_indexed", "step" in kinds)
         object.__setattr__(self, "lassos_close", "step" not in kinds)
+        object.__setattr__(self, "region_tables", {})
+        object.__setattr__(self, "step_table", {})
 
     # -- lookups with defaults -------------------------------------------
 
@@ -128,6 +138,20 @@ class Gcgmp:
             for act in self.available_of(agent, state)
             if eval_acf(self.guard_of(agent, state, act), val)
         )
+
+    def regions(self, agent: str, state: str) -> tuple:
+        """``(thresholds, points, enabled)``: `arith.regions` over the agent's
+        guards at ``state``, and `enabled_actions` at each point, which holds
+        throughout its region.  Built once; a foreign variable raises MultiVariable."""
+        table = self.region_tables.get((agent, state))
+        if table is None:
+            keys = [(agent, state, act) for act in self.available_of(agent, state)]
+            guards = [self.guards[k] for k in keys if k in self.guards] or [ACF_TRUE]
+            ts, points = arith.regions(functools.reduce(arith.Or, guards), agent)
+            table = self.region_tables[(agent, state)] = (
+                tuple(map(exact, ts)), points,  # int thresholds compare with int utilities in C
+                tuple(self.enabled_actions(agent, state, exact(p)) for p in points))
+        return table
 
 
 # --- validation -------------------------------------------------------------
@@ -170,30 +194,30 @@ def validate(m: Gcgmp) -> list[Violation]:
         bad("no-states", (), "a model needs at least one state")
     for name, seq in [("agent", m.agents), ("state", m.states), ("atom", m.atoms)]:
         for x in sorted(x for x, k in Counter(seq).items() if k > 1):
-            bad(f"duplicate-{name}", (x,), f"{name} {x!r} declared more than once")
+            bad(f"duplicate-{name}", (x,), f"{name} {echo(x)} declared more than once")
 
     for a in m.agents:
         if not m.actions.get(a):
-            bad("no-actions", (a,), f"agent {a!r} has an empty action alphabet")
+            bad("no-actions", (a,), f"agent {echo(a)} has an empty action alphabet")
     for a in m.actions:
         if a not in agents:
-            bad("unknown-agent", (a,), f"actions listed for unknown agent {a!r}")
+            bad("unknown-agent", (a,), f"actions listed for unknown agent {echo(a)}")
 
     for (a, s), acts in m.available.items():
         if a not in agents:
-            bad("unknown-agent", (a, s), f"availability for unknown agent {a!r}")
+            bad("unknown-agent", (a, s), f"availability for unknown agent {echo(a)}")
             continue
         if s not in states:
-            bad("unknown-state", (a, s), f"availability of {a!r} at unknown state {s!r}")
+            bad("unknown-state", (a, s), f"availability of {echo(a)} at unknown state {echo(s)}")
             continue
         if not acts:
-            bad("empty-available", (a, s), f"agent {a!r} has no available action at {s!r}")
+            bad("empty-available", (a, s), f"agent {echo(a)} has no available action at {echo(s)}")
         for act in acts:
             if act not in alphabet.get(a, ()):
                 bad(
                     "unknown-action",
                     (a, s, act),
-                    f"available action {act!r} of {a!r} at {s!r} is not in its alphabet",
+                    f"available action {echo(act)} of {echo(a)} at {echo(s)} is not in its alphabet",
                 )
 
     valid_profiles: dict[str, set[Profile]] = {
@@ -205,42 +229,42 @@ def validate(m: Gcgmp) -> list[Violation]:
             for what, table, noun in tables:
                 if (s, prof) not in table:
                     bad(f"missing-{what}", (s, prof),
-                        f"no {noun} for profile {','.join(prof)} at {s!r}")
+                        f"no {noun} for profile {echo(','.join(prof), str)} at {echo(s)}")
     for what, table, _ in tables:
         for (s, prof), value in table.items():
             if prof not in valid_profiles.get(s, ()):
                 bad(f"extraneous-{what}", (s, prof),
-                    f"{what} at {s!r} for unavailable profile {','.join(prof)}")
+                    f"{what} at {echo(s)} for unavailable profile {echo(','.join(prof), str)}")
             elif what == "transition" and value not in states:
-                bad("unknown-state", (s, prof), f"transition target {value!r} is not a state")
+                bad("unknown-state", (s, prof), f"transition target {echo(value)} is not a state")
             elif what == "payoff" and len(value) != len(m.agents):
                 bad("payoff-arity", (s, prof),
-                    f"payoff vector at {s!r}/{','.join(prof)} has {len(value)} entries, "
+                    f"payoff vector at {echo(s)}/{echo(','.join(prof), str)} has {len(value)} entries, "
                     f"expected {len(m.agents)}")
 
     for s, lab in m.labels.items():
         if s not in states:
-            bad("unknown-state", (s,), f"labelling for unknown state {s!r}")
+            bad("unknown-state", (s,), f"labelling for unknown state {echo(s)}")
         for p in sorted(lab):
             if p not in atoms:
-                bad("unknown-atom", (s, p), f"state {s!r} labelled with undeclared atom {p!r}")
+                bad("unknown-atom", (s, p), f"state {echo(s)} labelled with undeclared atom {echo(p)}")
 
     for (a, s, act), g in m.guards.items():
         if a not in agents or s not in states:
             bad("unknown-agent" if a not in agents else "unknown-state", (a, s, act),
-                f"guard for unknown agent/state ({a!r}, {s!r})")
+                f"guard for unknown agent/state ({echo(a)}, {echo(s)})")
             continue
         if act not in alphabet.get(a, ()):
             bad("unknown-action", (a, s, act),
-                f"guard of {a!r} at {s!r} for action {act!r} outside its alphabet")
+                f"guard of {echo(a)} at {echo(s)} for action {echo(act)} outside its alphabet")
             continue
         foreign = arith.acf_variables(g) - {a}
         if foreign:
             bad(
                 "guard-foreign-variable",
                 (a, s, act),
-                f"guard of {a!r} at {s!r} on {act!r} mentions other agents' "
-                f"utilities: {', '.join(sorted(foreign))}",
+                f"guard of {echo(a)} at {echo(s)} on {echo(act)} mentions other agents' "
+                f"utilities: {echo(', '.join(sorted(foreign)), str)}",
             )
 
     # guard totality: at each state some available action must be enabled
@@ -248,34 +272,26 @@ def validate(m: Gcgmp) -> list[Violation]:
     for a in m.agents:
         for s in m.states:
             acts = m.available_of(a, s)
-            if not acts:
-                continue  # already reported as empty-available
-            if any((a, s, act) not in m.guards for act in acts):
-                continue  # an unguarded action is always enabled
-            gs = [m.guard_of(a, s, act) for act in acts]
-            if any(arith.acf_variables(g) - {a} for g in gs):
+            if not acts or any((a, s, act) not in m.guards for act in acts):
+                continue  # empty-available is reported; an unguarded action is always enabled
+            try:
+                _, points, enabled = m.regions(a, s)
+            except MultiVariable:
                 continue  # foreign variables already reported; totality undecidable here
-            disj = gs[0]
-            for g in gs[1:]:
-                disj = arith.Or(disj, g)
-            cx = arith.validity_counterexample(disj)
+            cx = next((p for p, r in zip(points, enabled) if not r), None)
             if cx is not None:
-                bad(
-                    "guard-gap",
-                    (a, s),
-                    f"agent {a!r} at {s!r} has no enabled action when its utility is {cx}",
-                    witness=cx,
-                )
+                bad("guard-gap", (a, s), f"agent {echo(a)} at {echo(s)} has no enabled action "
+                    f"when its utility is {echo(cx, str)}", witness=cx)
 
     for a in m.agents:
         d = m.discounts.get(a)
         if d is None:
-            bad("missing-discount", (a,), f"agent {a!r} has no discount factor")
+            bad("missing-discount", (a,), f"agent {echo(a)} has no discount factor")
         elif not (0 <= d <= 1):
-            bad("bad-discount", (a,), f"discount of {a!r} is {d}, outside [0, 1]")
+            bad("bad-discount", (a,), f"discount of {echo(a)} is {echo(d, str)}, outside [0, 1]")
     for a in m.discounts:
         if a not in agents:
-            bad("unknown-agent", (a,), f"discount listed for unknown agent {a!r}")
+            bad("unknown-agent", (a,), f"discount listed for unknown agent {echo(a)}")
 
     if m.value_semantics is ValueSemantics.DISCOUNTED:
         for a in m.agents:
@@ -283,7 +299,7 @@ def validate(m: Gcgmp) -> list[Violation]:
                 bad(
                     "discount-not-contractive",
                     (a,),
-                    f"discounted value semantics needs discount < 1, agent {a!r} has 1",
+                    f"discounted value semantics needs discount < 1, agent {echo(a)} has 1",
                 )
 
     return out
@@ -304,9 +320,9 @@ def _is_map(x) -> bool:
 def _field(row, key, where, name=False):
     """``row[key]``; with ``name``, it must be a string, as every name is."""
     if not _is_map(row) or key not in row:
-        raise ParseError(f"{where}: missing {key!r}")
+        raise ParseError(f"{where}: missing {echo(key)}")
     if name and not isinstance(row[key], str):
-        raise ParseError(f"{where}: {key!r} {row[key]!r} is not a name")
+        raise ParseError(f"{where}: {echo(key)} {echo(row[key])} is not a name")
     return row[key]
 
 
@@ -325,7 +341,7 @@ def _rational(x, where) -> Rational:
                 raise ValueError
         return exact(x)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ParseError(f"{where}: {x!r} is not a rational") from None
+        raise ParseError(f"{where}: {echo(x)} is not a rational") from None
 
 
 def _mapping(x, where) -> Mapping:
@@ -339,7 +355,7 @@ def _names(x, where) -> tuple:
         raise ParseError(f"{where}: expected a list, got {type(x).__name__}")
     for name in x:
         if not isinstance(name, str):
-            raise ParseError(f"{where}: {name!r} is not a name")
+            raise ParseError(f"{where}: {echo(name)} is not a name")
     return tuple(x)
 
 
@@ -361,12 +377,12 @@ def _profile_from_map(agents, entry, where) -> Profile:
 def _per_profile(agents, table, what):
     """(state, profile, value) triples of a nested {state: {"a1,a2": value}} table."""
     for s, row in _mapping(table, what).items():
-        where = f"{what} at {s!r}"
+        where = f"{what} at {echo(s)}"
         for key, value in _mapping(row, where).items():
             prof = tuple(key.split(","))
             if len(prof) != len(agents):
                 raise ParseError(
-                    f"{where}: profile {key!r} has {len(prof)} actions "
+                    f"{where}: profile {echo(key)} has {len(prof)} actions "
                     f"for {len(agents)} agents"
                 )
             yield s, prof, value
@@ -385,7 +401,7 @@ def _load_transitions(agents, table) -> dict[tuple[str, Profile], str]:
     transitions = {}
     for row in table:
         s = _field(row, "from", "transition", name=True)
-        where = f"transition from {s!r}"
+        where = f"transition from {echo(s)}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
         transitions[(s, prof)] = _field(row, "to", where, name=True)
     return transitions
@@ -395,14 +411,14 @@ def _load_payoffs(agents, table) -> dict[tuple[str, Profile], tuple[Rational, ..
     payoffs = {}
     if not _is_rows(table):
         for s, prof, vec in _per_profile(agents, table, "payoffs"):
-            where = f"payoff at {s!r}/{','.join(prof)}"
+            where = f"payoff at {echo(s)}/{echo(','.join(prof), str)}"
             if not isinstance(vec, (list, tuple)):
                 raise ParseError(f"{where}: expected a list of rationals")
             payoffs[(s, prof)] = tuple(_rational(x, where) for x in vec)
         return payoffs
     for row in table:
         s = _field(row, "state", "payoff", name=True)
-        where = f"payoff at {s!r}"
+        where = f"payoff at {echo(s)}"
         prof = _profile_from_map(agents, _field(row, "profile", where), where)
         values = _mapping(_field(row, "values", where), where)
         extra = sorted(values.keys() - agents)
@@ -427,12 +443,12 @@ def _load_guards(table) -> dict[tuple[str, str, str], ConstraintFormula]:
         texts = {
             (a, s, act): text
             for a, per_state in _mapping(table, "guards").items()
-            for s, per_action in _mapping(per_state, f"guards of {a!r}").items()
-            for act, text in _mapping(per_action, f"guards of {a!r} at {s!r}").items()
+            for s, per_action in _mapping(per_state, f"guards of {echo(a)}").items()
+            for act, text in _mapping(per_action, f"guards of {echo(a)} at {echo(s)}").items()
         }
     for (a, s, act), text in texts.items():
         if not isinstance(text, str):
-            raise ParseError(f"guard of {a!r} at {s!r} on {act!r}: expected a string")
+            raise ParseError(f"guard of {echo(a)} at {echo(s)} on {echo(act)}: expected a string")
     return {key: arith.parse_acf(text) for key, text in texts.items()}
 
 
@@ -448,23 +464,23 @@ def model_from_dict(doc: dict) -> Gcgmp:
         if dup:
             raise ParseError(f"duplicate {kind} id: {', '.join(dup)}")
     actions = {
-        a: _names(acts, f"actions of {a!r}")
+        a: _names(acts, f"actions of {echo(a)}")
         for a, acts in _mapping(doc.get("actions", {}), "actions").items()
     }
     for a, acts in actions.items():
         if any("," in str(act) for act in acts):
-            raise ParseError(f"actions of {a!r}: an action name may not contain ','")
+            raise ParseError(f"actions of {echo(a)}: an action name may not contain ','")
 
     available: dict[tuple[str, str], tuple[str, ...]] = {}
     for s, per_agent in _mapping(doc.get("available", {}), "available").items():
-        for a, acts in _mapping(per_agent, f"available at {s!r}").items():
-            available[(a, s)] = _names(acts, f"available to {a!r} at {s!r}")
+        for a, acts in _mapping(per_agent, f"available at {echo(s)}").items():
+            available[(a, s)] = _names(acts, f"available to {echo(a)} at {echo(s)}")
     for a in agents:  # default: everything in the agent's alphabet
         for s in states:
             available.setdefault((a, s), actions.get(a, ()))
 
     labels = {
-        s: frozenset(_names(atoms, f"labels of {s!r}"))
+        s: frozenset(_names(atoms, f"labels of {echo(s)}"))
         for s, atoms in _mapping(doc.get("labels", {}), "labels").items()
     }
     atoms = sorted(set().union(*labels.values()))
@@ -473,10 +489,10 @@ def model_from_dict(doc: dict) -> Gcgmp:
         not isinstance(declared, (list, tuple)) or sorted(declared, key=str) != atoms
     ):
         raise ValueError(
-            f"declared atoms {declared!r} differ from the union of the labels {atoms!r}"
+            f"declared atoms {echo(declared)} differ from the union of the labels {echo(atoms)}"
         )
     discounts = {
-        a: Fraction(_rational(x, f"discount of {a!r}"))
+        a: Fraction(_rational(x, f"discount of {echo(a)}"))
         for a, x in _mapping(doc.get("discounts", {}), "discounts").items()
     }
     for a in agents:

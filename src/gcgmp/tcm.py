@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .dynamics import Configuration, initial_config
+from .errors import echo
 from .logic import Formula, bind_formula, format_formula, parse_formula
 from .model import Gcgmp, model_from_dict
 
@@ -89,15 +90,15 @@ def _check_machine(tcm: TwoCounterMachine):
     if len(set(tcm.states)) != len(tcm.states):
         raise ValueError("duplicate machine states")
     if tcm.initial not in tcm.states:
-        raise ValueError(f"initial state {tcm.initial!r} is not a machine state")
+        raise ValueError(f"initial state {echo(tcm.initial)} is not a machine state")
     for s in tcm.finals:
         if s not in tcm.states:
-            raise ValueError(f"final state {s!r} is not a machine state")
+            raise ValueError(f"final state {echo(s)} is not a machine state")
     for i, t in enumerate(tcm.transitions):
         if t.source not in tcm.states:
-            raise ValueError(f"transition {i}: unknown source {t.source!r}")
+            raise ValueError(f"transition {i}: unknown source {echo(t.source)}")
         if t.target not in tcm.states:
-            raise ValueError(f"transition {i}: unknown target {t.target!r}")
+            raise ValueError(f"transition {i}: unknown target {echo(t.target)}")
         for c in (0, 1):
             if t.tests[c] not in (0, 1):
                 raise ValueError(f"transition {i}: test must be 0 or 1")
@@ -269,12 +270,12 @@ def encode(tcm: TwoCounterMachine, variant: str) -> EncodedGame:
     A ``halt``-labelled absorbing state marks each machine final.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown encoding variant {variant!r}; pick from {VARIANTS}")
+        raise ValueError(f"unknown encoding variant {echo(variant)}; pick from {VARIANTS}")
     _check_machine(tcm)
     for s in tcm.states:
         if _RESERVED.match(s):
             raise ValueError(
-                f"machine state {s!r} collides with a reserved game state name"
+                f"machine state {echo(s)} collides with a reserved game state name"
             )
 
     guard_based = variant == GUARD_BASED

@@ -369,7 +369,7 @@ def _halt_reachable(enc):
                 return True
             if not honest(c) or l > 18:
                 continue
-            for prof in itertools.product(*dynamics.enabled_pools(m, c, {})):
+            for prof in itertools.product(*dynamics.enabled_pools(m, c)):
                 c2 = dynamics.step(m, c, prof, l)
                 if c2 not in seen:
                     seen.add(c2)
@@ -497,7 +497,7 @@ def test_criterion_7_numerical_identities():
             continue
         configs, profiles = [Configuration(m.states[0], (F(0), F(0)))], []
         while len(profiles) < 6 or configs[-1].state not in {c.state for c in configs[:-1]}:
-            profiles.append(min(itertools.product(*dynamics.enabled_pools(m, configs[-1], {}))))
+            profiles.append(min(itertools.product(*dynamics.enabled_pools(m, configs[-1]))))
             configs.append(dynamics.step(m, configs[-1], profiles[-1], len(profiles)))
         last = configs[-1].state
         loop = next(i for i, c in enumerate(configs[:-1]) if c.state == last)

@@ -836,10 +836,12 @@ _JSON = st.recursive(
                       max_size=3),
     max_leaves=8,
 )
+# more digits than int() reads from a string by default (4,300)
+LONG = "9" * 5000
 _TOKENS = [
     "<<a>>", "<<>>", "<<b>>", "<<a,a>>", "X", "G", "F", "U", "!", "&", "|", "(", ")",
     "true", "false", "p", "q", "v_a", "v_b", "w_a", ">", ">=", "<=", "=", "1", "1/2",
-    "-1", "2*v_a", "+",
+    "-1", "2*v_a", "+", LONG, "1/" + LONG, "-" + LONG,
 ]
 _FORMULAS = [  # well-formed for incskip_doc(), so that the engines run too
     "<<a>> X true", "<<a>> G (v_a <= 2)", "<<a>> (true U v_a >= 3)", "<<>> G (v_a < 1/2)",
@@ -848,6 +850,7 @@ _FORMULAS = [  # well-formed for incskip_doc(), so that the engines run too
 ]
 _INITS = [
     "s", "t", "s:", "s:1", "s:1/2", "s: -1", "s:1,2", "s:x", ":1", "s:1/0", "s:1e3", "s:nan",
+    "s:" + LONG, "s:1/" + LONG, "s:" + LONG + ",0", LONG + ":1",
 ]
 
 
@@ -891,6 +894,7 @@ def keeps_the_contract(capsys, *argvs):
         assert "Traceback" not in err
         if returned and code in (2, 3):
             assert len(err.splitlines()) <= 1, err
+            assert len(err.encode()) <= 1000, err  # an echoed input is clipped
 
 
 class TestExitCodeContract:
@@ -930,6 +934,11 @@ class TestExitCodeContract:
              formula="<<a>> X true", init="s", engine="auto")
     @example(doc={**incskip_doc(), "transitions": {"s": {"inc": {"s": 1}, "skip": "s"}}},
              formula="<<a>> X true", init="s", engine="auto")
+    # numbers past int()'s digit limit, in a formula, a guard and --init
+    @example(doc=incskip_doc(), formula="v_a > " + LONG, init="s", engine="auto")
+    @example(doc=rows_with(("guards", 0, "formula"), "v_a <= " + LONG),
+             formula="<<a>> X true", init="s", engine="auto")
+    @example(doc=incskip_doc(), formula="<<a>> X true", init="s:" + LONG, engine="auto")
     def test_any_input_keeps_the_contract(self, capsys, tmp_path, doc, formula, init, engine):
         path = write_model(tmp_path, doc)
         check = ["check", path, f"--init={init}", "--depth", "4", "--engine", engine, "--", formula]
@@ -964,6 +973,22 @@ class TestExitCodeContract:
             ["simulate", path, f"--init={init}", f"--profile-script={script}"],
             ["export-graph", path, f"--init={init}", "--bound", str(count)],
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "builtin:fig1", "v_I > " + LONG],
+        ["check", "builtin:fig1", "<<I>>(w_I >= 1/" + LONG + ")"],
+        ["check", "builtin:fig1", "<<I>> X p1", "--init", f"s1:{LONG},0"],
+        ["check", "long-guard", "<<I>> X p1"],
+    ], ids=["formula", "path-constraint", "init", "guard"])
+    def test_long_numbers_exit_2_with_one_short_line(self, capsys, tmp_path, argv):
+        if argv[1] == "long-guard":
+            doc = model_to_dict(builtin_fig1())
+            doc["guards"]["I"]["s1"]["C"] = "v_I >= " + LONG
+            argv = [argv[0], write_model(tmp_path, doc), *argv[2:]]
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and len(err.encode()) <= 300, err
+        assert "int_max_str_digits" not in err
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("sink", ["full-disk", "closed-pipe"])

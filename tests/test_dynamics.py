@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -110,7 +111,7 @@ class TestStep:
 
     def test_enabled_profiles_at_origin(self):
         m = builtin_fig1()
-        pools = enabled_pools(m, initial_config(m, "s1"), {})
+        pools = enabled_pools(m, initial_config(m, "s1"))
         assert list(itertools.product(*pools)) == [("C", "C")]
 
     def test_simultaneous_violations_blame_least_agent(self):
@@ -341,6 +342,25 @@ class TestExplore:
         ids = {id(k) for k in r.pools}
         assert all(id(src) in ids and id(dst) in ids for (src, _), dst in r.succ.items())
 
+    # sha256 of repr((pools items, succ items)), recorded before guards and
+    # steps were compiled into the model's region and step tables: fig1 from
+    # s1, and with discounts that take the step table's step-indexed and
+    # discount-0 entries
+    @pytest.mark.parametrize("discounts, depth, nodes, digest", [
+        ((F(1), F(1)), 18, 5931,
+         "e6edac7d3e17b9bde4ee011932544123cf7ac032fe5ff97f109c21f357ac86be"),
+        ((F(1, 2), F(1)), 8, 10671,
+         "e4d15f11243f748660df222c9e3394b6e7720f50e8fb1a181367d987775940cd"),
+        ((F(0), F(1, 3)), 8, 256,
+         "34241d60221fc90cee0f93e470e34f92e2b7b49b09cf2f5cf6d4ce6cf92e4893"),
+    ], ids=["fig1", "half", "zero-third"])
+    def test_graph_is_pinned(self, discounts, depth, nodes, digest):
+        m = replace(builtin_fig1(), discounts=dict(zip(("I", "II"), discounts)))
+        r = explore(m, initial_config(m, "s1"), depth)
+        assert len(r.pools) == nodes
+        blob = repr((list(r.pools.items()), list(r.succ.items()))).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_dot_output(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 1)
@@ -433,7 +453,7 @@ class TestExactRationals:
             profiles = []
             c = c0
             for _ in range(6):
-                enabled = sorted(itertools.product(*enabled_pools(m, c, {})))
+                enabled = sorted(itertools.product(*enabled_pools(m, c)))
                 if not enabled:
                     break
                 profiles.append(rng.choice(enabled))
@@ -464,9 +484,9 @@ class TestExactRationals:
         seen = []
         pools = dynamics.enabled_pools
 
-        def recording(m, c, cache):
+        def recording(m, c):
             seen.append(c)
-            return pools(m, c, cache)
+            return pools(m, c)
 
         monkeypatch.setattr(dynamics, "enabled_pools", recording)
         applied = 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcgmp import arith
 from gcgmp.checker import Budget, check_atl, check_bounded, enumerate_oracle
-from gcgmp.dynamics import explore, initial_config
+from gcgmp.dynamics import Configuration, enabled_pools, explore, initial_config
 from gcgmp.logic import bind_formula, parse_formula
 from gcgmp.errors import InvalidState, ParseError, UnknownAgent, UnknownIdentifier
 from gcgmp.model import (
@@ -513,6 +513,53 @@ def test_rationals_agree_with_fraction(text):
     assert got == want
     if want is not None:
         assert type(got) is (int if want.denominator == 1 else F)
+
+
+# --- region tables: compiled guards agree with literal evaluation -------------
+
+_CONSTANTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_REL = st.sampled_from(arith.RELS)
+# atoms over v_a alone: against a constant either way round, v_a counted
+# twice, and variable-free ones; then negation, conjunction and disjunction
+_GUARDS = st.recursive(
+    st.builds("v_a {} {}".format, _REL, _CONSTANTS)
+    | st.builds("{} {} v_a".format, _CONSTANTS, _REL)
+    | st.builds("v_a + v_a {} {}".format, _REL, _CONSTANTS)
+    | st.builds("{} {} {}".format, _CONSTANTS, _REL, _CONSTANTS),
+    lambda kids: st.builds("!({})".format, kids)
+    | st.builds("({}) & ({})".format, kids, kids)
+    | st.builds("({}) | ({})".format, kids, kids),
+    max_leaves=4,
+)
+
+
+def _probes(guards) -> list:
+    """Every place a guard's truth can change, found without the model: each
+    constant c and c/2 (for v_a + v_a), the midpoints between consecutive
+    ones, and a point beyond each extreme."""
+    cuts = sorted({q for g in guards if g is not None
+                   for a in arith.acf_atoms(arith.parse_acf(g))
+                   for x in a.lhs.summands + a.rhs.summands if isinstance(x, F)
+                   for q in (x, x / 2)})
+    mids = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    return cuts + mids + ([cuts[0] - 1, cuts[-1] + 1] if cuts else [F(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(guards=st.lists(st.none() | _GUARDS, min_size=3, max_size=3),
+       extra=st.lists(st.integers(-7, 7) | st.fractions(-7, 7, max_denominator=9), max_size=6))
+@example(guards=["v_a = 1 | v_a < -1/2", "!(v_a + v_a > 3/2)", "1 < 2 & !(0 = 1)"], extra=[])
+@example(guards=["v_a >= 0", None, "2 < 1"], extra=[0, -1, F(1, 2)])
+def test_region_tables_agree_with_literal_guards(guards, extra):
+    doc = tiny_doc()
+    doc["actions"] = {"a": ["x", "y", "z"]}
+    doc["guards"] = [{"agent": "a", "state": "s", "action": act, "formula": g}
+                     for act, g in zip("xyz", guards) if g is not None]
+    m = model_from_dict(doc)
+    for u in _probes(guards) + extra:
+        want = m.enabled_actions("a", "s", u)
+        assert enabled_pools(m, Configuration("s", (u,))) == (want,)
+        assert enabled_pools(m, Configuration("s", (arith.exact(u),))) == (want,)
 
 
 # --- scale: the model layer is linear in the model's size ----------------------
