@@ -341,13 +341,17 @@ def tokenize(text: str) -> list[Token]:
 
 
 #: Deepest nesting a guard or formula may have: each prefix operator,
-#: parenthesis and chained binary operator is one level.  Parsing and checking
-#: recurse over the tree and overflow Python's stack near 600 levels.
+#: parenthesis, coalition modality, ``U`` and chained binary operator is one
+#: level.  Parsing and checking recurse over the tree and overflow Python's
+#: stack near 600 levels.
 MAX_NESTING = 100
 
 
 class TokenStream:
-    """Cursor over a token list; shared by the constraint and formula parsers."""
+    """Cursor over a token list; shared by the constraint and formula parsers.
+
+    ``chain`` and ``inside`` are the only places that nest, so ``depth``
+    counts levels for both grammars and ``MAX_NESTING`` is checked once."""
 
     def __init__(self, text: str):
         self.text = text
@@ -355,15 +359,38 @@ class TokenStream:
         self.i = 0
         self.depth = 0  # operator nesting at the cursor
 
-    def nest(self) -> None:
-        """Enter one more level; the caller restores ``depth`` on the way out."""
+    def _deeper(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(
-                f"nested more than {MAX_NESTING} levels deep",
-                col=tok.pos if tok else len(self.text),
-            )
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", col=self.col())
+
+    def chain(self, op: str, operand, join):
+        """A left-folded ``operand (op operand)*``.  The tree it builds is
+        left deep, so each ``op`` nests one level more, until the chain ends."""
+        level = self.depth
+        f = operand(self)
+        while self.at(op):
+            self.take()
+            self._deeper()
+            f = join(f, operand(self))
+        self.depth = level
+        return f
+
+    def inside(self, parse, close: str | None = None):
+        """``parse(self)`` one level deeper, then the ``close`` token if one is
+        given: the inside of a bracket just opened, or the operand of a prefix
+        operator, a ``U`` or a coalition modality."""
+        self._deeper()
+        f = parse(self)
+        if close is not None:
+            self.take(close)
+        self.depth -= 1
+        return f
+
+    def col(self) -> int:
+        """Position of the next token, or the end of the text."""
+        tok = self.peek()
+        return tok.pos if tok else len(self.text)
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -381,6 +408,13 @@ class TokenStream:
         tok = self.peek()
         return tok is not None and tok.kind in kinds
 
+    def relation(self) -> str:
+        """Take a comparison, one of ``RELS``."""
+        if not self.at(*RELS):
+            raise ParseError("expected comparison", col=self.col(),
+                             expected="one of " + " ".join(RELS))
+        return self.take().kind
+
     def expect_end(self):
         tok = self.peek()
         if tok is not None:
@@ -390,7 +424,7 @@ class TokenStream:
 def parse_term_tokens(ts: TokenStream) -> Term:
     summands: list[Summand] = [_parse_summand(ts)]
     while ts.at("+"):
-        ts.take("+")
+        ts.take()
         summands.append(_parse_summand(ts))
     return Term(tuple(summands))
 
@@ -399,84 +433,47 @@ def _parse_summand(ts: TokenStream) -> Summand:
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of input", col=len(ts.text), expected="term")
-    if tok.kind == "var":
-        ts.take()
-        return UtilityVar(tok.value)
-    if tok.kind == "number":
-        ts.take()
-        return tok.value
-    raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected="variable or rational")
-
-
-def parse_acf_tokens(ts: TokenStream) -> ConstraintFormula:
-    return _parse_acf_or(ts)
+    if tok.kind not in ("var", "number"):
+        raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected="variable or rational")
+    ts.take()
+    return UtilityVar(tok.value) if tok.kind == "var" else tok.value
 
 
 def _parse_acf_or(ts: TokenStream) -> ConstraintFormula:
-    level = ts.depth
-    f = _parse_acf_and(ts)
-    while ts.at("|"):
-        ts.take("|")
-        ts.nest()  # a chain builds a left-deep tree
-        f = Or(f, _parse_acf_and(ts))
-    ts.depth = level
-    return f
+    return ts.chain("|", _parse_acf_and, Or)
 
 
 def _parse_acf_and(ts: TokenStream) -> ConstraintFormula:
-    level = ts.depth
-    f = _parse_acf_unary(ts)
-    while ts.at("&"):
-        ts.take("&")
-        ts.nest()
-        f = And(f, _parse_acf_unary(ts))
-    ts.depth = level
-    return f
+    return ts.chain("&", _parse_acf_unary, And)
 
 
 def _parse_acf_unary(ts: TokenStream) -> ConstraintFormula:
     if ts.at("!"):
-        ts.take("!")
-        ts.nest()
-        f = Not(_parse_acf_unary(ts))
-    elif ts.at("("):
-        ts.take("(")
-        ts.nest()
-        f = _parse_acf_or(ts)
-        ts.take(")")
-    else:
-        return Atom(parse_atom_tokens(ts))
-    ts.depth -= 1
-    return f
+        ts.take()
+        return Not(ts.inside(_parse_acf_unary))
+    if ts.at("("):
+        ts.take()
+        return ts.inside(_parse_acf_or, ")")
+    return Atom(parse_atom_tokens(ts))
 
 
 def parse_atom_tokens(ts: TokenStream) -> AtomicConstraint:
     lhs = parse_term_tokens(ts)
-    tok = ts.peek()
-    if tok is None or tok.kind not in RELS:
-        pos = tok.pos if tok else len(ts.text)
-        raise ParseError("expected comparison", col=pos, expected="one of " + " ".join(RELS))
-    ts.take()
-    rhs = parse_term_tokens(ts)
-    return AtomicConstraint(lhs, tok.kind, rhs)
+    rel = ts.relation()
+    return AtomicConstraint(lhs, rel, parse_term_tokens(ts))
 
 
 def parse_acf(text: str) -> ConstraintFormula:
     ts = TokenStream(text)
-    f = parse_acf_tokens(ts)
+    f = _parse_acf_or(ts)
     ts.expect_end()
     return f
 
 
 def parse_apc_tokens(ts: TokenStream) -> PathConstraint:
     agent = ts.take("wvar").value
-    tok = ts.peek()
-    if tok is None or tok.kind not in RELS:
-        pos = tok.pos if tok else len(ts.text)
-        raise ParseError("expected comparison", col=pos, expected="one of " + " ".join(RELS))
-    ts.take()
-    bound = ts.take("number").value
-    return PathConstraint(agent, tok.kind, bound)
+    rel = ts.relation()
+    return PathConstraint(agent, rel, ts.take("number").value)
 
 
 # --- printing ---------------------------------------------------------------

@@ -360,7 +360,10 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             raise NotMonotone(f"start utility {echo(u, str)} for agent {echo(a)} is negative")
 
     cap = exact(saturation_cap(m, f))
-    game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=cap)
+    try:
+        game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=cap)
+    except TooLarge as e:
+        raise NotApplicable(str(e)) from e
     pools = game.pools
 
     def leaf(g) -> frozenset:  # outside NGL_STAR, a leaf is a proposition or an atom
@@ -732,7 +735,7 @@ class _CoopSolver:
                     return refuted()
 
                 # lasso closure: an exact repeat pins the infinite play
-                if v is _OPEN and pos >= 1 and ctx.m.lassos_close:
+                if v is _OPEN and pos >= 1 and not ctx.m.step_indexed:
                     j = path_index.get(id(c))
                     if j is not None and j < pos:
                         v = self._closure_verdict(machine, path_configs, path_profiles, j)
@@ -1082,7 +1085,7 @@ class _Literal:
         m, so, depth, enabled, spend = self.m, self.so, self.depth, self.enabled, self.spend
         mi, oi, weave = _split(m.agents, coop.coalition)
         commits = bool(oi) and so.memory is StrategyMemory.MEMORYLESS
-        closes = m.lassos_close
+        closes = not m.step_indexed
         out = []
         # (parent configs, parent profiles, opponent commitments, profile taken)
         stack = [([], [], {}, None)]

@@ -38,7 +38,7 @@ from .dynamics import (
     play_value,
     step,
 )
-from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError, echo
+from .errors import GcgmpError, GuardViolation, NotApplicable, ParseError, TooLarge, echo
 from .logic import (
     STRATEGY_CLASSES,
     StrategyClassSpec,
@@ -389,7 +389,10 @@ def cmd_export_graph(args):
     m = _load_model(args.model)
     _require_wellformed(m, args.model)
     init = _parse_init(m, args.init)
-    result = explore(m, init, args.bound)
+    try:
+        result = explore(m, init, args.bound)
+    except TooLarge as e:
+        raise CliInputError(str(e)) from e
     report = {
         "command": "export-graph",
         "model": args.model,
@@ -413,8 +416,16 @@ def cmd_export_graph(args):
 # --- wiring ---------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Refuses a command line with one short diagnostic line (exit 2), not
+    argparse's usage block; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise CliInputError(echo(message, str))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gcgmp",
         description="Guarded concurrent game models: validation, checking, simulation.",
     )
@@ -478,9 +489,9 @@ _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u202
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         for flag in ("depth", "steps", "bound"):  # step counts, never negative
             if (getattr(args, flag, None) or 0) < 0:
                 raise CliInputError(f"--{flag} must be non-negative")

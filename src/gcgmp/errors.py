@@ -101,4 +101,5 @@ class VariableVsVariableAtom(NotApplicable):
 
 
 class TooLarge(GcgmpError):
-    """Instance exceeds the brute-force oracle's hard size limits."""
+    """Instance exceeds a hard size limit: the brute-force oracle's, or the
+    configuration graph's node limit."""

@@ -271,7 +271,9 @@ def bind_formula(m: Gcgmp, f: Formula) -> Formula:
 
 # --- parsing --------------------------------------------------------------
 
-_RESERVED = {"true", "false", "X", "G", "F", "U"}
+# the reserved words: two constants, and four operators that never name a proposition
+_CONSTANTS = {"true": TRUE, "false": Not(TRUE)}
+_OPERATORS = {"X", "G", "F", "U"}
 
 
 def parse_formula(text: str) -> Formula:
@@ -285,30 +287,15 @@ def _mk_or(a: Formula, b: Formula) -> Formula:
     return Not(And(Not(a), Not(b)))
 
 
-# Each operator nests one level (arith.MAX_NESTING caps the total); a
-# function that nests restores ``ts.depth`` before it returns.
+# Nesting is counted by ``TokenStream.chain`` and ``TokenStream.inside``.
 
 
 def _parse_or(ts: TokenStream) -> Formula:
-    level = ts.depth
-    f = _parse_and(ts)
-    while ts.at("|"):
-        ts.take("|")
-        ts.nest()  # a chain builds a left-deep tree
-        f = _mk_or(f, _parse_and(ts))
-    ts.depth = level
-    return f
+    return ts.chain("|", _parse_and, _mk_or)
 
 
 def _parse_and(ts: TokenStream) -> Formula:
-    level = ts.depth
-    f = _parse_until(ts)
-    while ts.at("&"):
-        ts.take("&")
-        ts.nest()
-        f = And(f, _parse_until(ts))
-    ts.depth = level
-    return f
+    return ts.chain("&", _parse_until, And)
 
 
 def _parse_until(ts: TokenStream) -> Formula:
@@ -316,72 +303,54 @@ def _parse_until(ts: TokenStream) -> Formula:
     tok = ts.peek()
     if tok is not None and tok.kind == "ident" and tok.value == "U":
         ts.take()
-        ts.nest()
-        f = Until(f, _parse_until(ts))
-        ts.depth -= 1
+        f = Until(f, ts.inside(_parse_until))
     return f
+
+
+# the prefix operators, by token text; no other token has one of these texts
+_PREFIX = {"!": Not, "X": Next, "G": Always, "F": lambda sub: Until(TRUE, sub)}
 
 
 def _parse_unary(ts: TokenStream) -> Formula:
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of input", col=len(ts.text), expected="formula")
-    if tok.kind != "!" and not (tok.kind == "ident" and tok.value in ("X", "G", "F")):
+    make = _PREFIX.get(tok.text)
+    if make is None:
         return _parse_primary(ts)
     ts.take()
-    ts.nest()
-    sub = _parse_unary(ts)
-    ts.depth -= 1
-    if tok.kind == "!":
-        return Not(sub)
-    if tok.value == "X":
-        return Next(sub)
-    if tok.value == "G":
-        return Always(sub)
-    return Until(TRUE, sub)
+    return make(ts.inside(_parse_unary))
+
+
+def _parse_coop(ts: TokenStream) -> Formula:
+    agents = []
+    while not ts.at(">>"):
+        if not ts.at("ident", "number"):
+            raise ParseError("bad coalition member", col=ts.col(), expected="agent name")
+        agents.append(ts.take().text)
+        if ts.at(","):
+            ts.take()
+    ts.take(">>")
+    return Coop(frozenset(agents), _parse_or(ts))  # the modality swallows the whole path formula
 
 
 def _parse_primary(ts: TokenStream) -> Formula:
     tok = ts.peek()  # never None: _parse_unary has refused the end of input
     if tok.kind == "(":
         ts.take()
-        ts.nest()
-        f = _parse_or(ts)
-        ts.take(")")
-        ts.depth -= 1
-        return f
+        return ts.inside(_parse_or, ")")
     if tok.kind == "<<":
         ts.take()
-        ts.nest()
-        agents = []
-        while not ts.at(">>"):
-            el = ts.peek()
-            if el is None or el.kind not in ("ident", "number"):
-                pos = el.pos if el else len(ts.text)
-                raise ParseError("bad coalition member", col=pos, expected="agent name")
-            ts.take()
-            agents.append(el.text)
-            if ts.at(","):
-                ts.take(",")
-        ts.take(">>")
-        body = _parse_or(ts)  # the modality swallows the whole path formula
-        ts.depth -= 1
-        return Coop(frozenset(agents), body)
+        return ts.inside(_parse_coop)
     if tok.kind == "wvar":
         return Apc(arith.parse_apc_tokens(ts))
     if tok.kind in ("var", "number"):
         return Constraint(arith.parse_atom_tokens(ts))
     if tok.kind == "ident":
-        if tok.value == "true":
-            ts.take()
-            return TRUE
-        if tok.value == "false":
-            ts.take()
-            return Not(TRUE)
-        if tok.value in _RESERVED:
+        if tok.value in _OPERATORS:
             raise ParseError(f"misplaced {echo(tok.value)}", col=tok.pos, expected="formula")
         ts.take()
-        return Prop(tok.value)
+        return _CONSTANTS[tok.value] if tok.value in _CONSTANTS else Prop(tok.value)
     raise ParseError(f"unexpected {echo(tok.text)}", col=tok.pos, expected="formula")
 
 

@@ -97,7 +97,6 @@ class Gcgmp:
         # some 0 < d < 1: equal configurations at different steps differ;
         # otherwise every d is 0 or 1 and a repeated configuration closes a lasso
         object.__setattr__(self, "step_indexed", "step" in kinds)
-        object.__setattr__(self, "lassos_close", "step" not in kinds)
         object.__setattr__(self, "region_tables", {})
         object.__setattr__(self, "step_table", {})
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcgmp import checker
+from gcgmp import checker, dynamics
 from gcgmp.checker import (
     Budget,
     StrategyTable,
@@ -546,6 +546,31 @@ class TestSaturated:
         g = fml(m, "<<a>> F (v_a >= 9)")
         # inc is disabled once v_a passes 7, so 9 is unreachable
         assert check_saturated(m, Configuration("s", (F(0),)), g).value is False
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("<<a>> G (0 < 1)", "true"),
+        ("<<a>> X (1 < 0)", "false"),
+        ("<<a>> (1/2 >= 1) U p", "false"),
+    ])
+    def test_a_variable_free_comparison_holds_everywhere_or_nowhere(self, text, verdict):
+        m = one_agent_loop([("inc", 1), ("skip", 0)], labels={"s": []})
+        m = dataclasses.replace(m, atoms=("p",))
+        c0 = Configuration("s", (0,))
+        auto = checker.check(m, c0, fml(m, text), budget=6)
+        assert (auto["engine"], auto["verdict"]) == ("saturated", verdict)
+        assert checker.check(m, c0, fml(m, text), budget=6, engine="bounded")["verdict"] == verdict
+
+    def test_a_graph_past_the_node_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_GRAPH_NODES", 50)
+        m = one_agent_loop([("inc", 1), ("skip", 0)])
+        c0 = Configuration("s", (0,))
+        f = fml(m, "<<a>> G (v_a < 100)")  # the cap is 100: 101 nodes
+        with pytest.raises(NotApplicable, match="more than 50 nodes"):
+            check_saturated(m, c0, f)
+        with pytest.raises(NotApplicable, match="^the saturated engine does not apply: .*50 nodes"):
+            checker.check(m, c0, f, engine="saturated")
+        got = checker.check(m, c0, f, budget=6)
+        assert (got["engine"], got["verdict"]) == ("bounded", "true")
 
     def test_saturated_start_utilities(self):
         m = one_agent_loop([("inc", 1)])

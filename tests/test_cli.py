@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gcgmp import dynamics
 from gcgmp.cli import main
 from gcgmp.model import builtin_fig1, dump_model, model_from_dict, model_to_dict, validate
 from gcgmp.tcm import Halts, dump_tcm, halting_search, make_machine
@@ -565,11 +566,37 @@ class TestSimulate:
             assert code == 2
 
     def test_script_and_strategy_are_mutually_exclusive(self, fig1_path, capsys):
-        with pytest.raises(SystemExit) as ex:
-            main(["simulate", fig1_path, "--profile-script", "C,C",
-                  "--strategy-file", "x.json"])
-        assert ex.value.code == 2
-        capsys.readouterr()
+        code, report, err = run(capsys, "simulate", fig1_path, "--profile-script", "C,C",
+                                "--strategy-file", "x.json")
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and "not allowed with" in err
+
+
+class TestGraphNodeLimit:
+    FORMULA = "<<a>> G v_a < 100"  # the saturation cap is 100: 101 nodes
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_GRAPH_NODES", 50)
+
+    def test_a_forced_saturated_engine_exits_3(self, capsys, tmp_path):
+        path = write_model(tmp_path, incskip_doc())
+        code, report, err = run(capsys, "check", path, self.FORMULA, "--engine", "saturated")
+        assert (code, report) == (3, None)
+        assert err.count("\n") == 1 and "more than 50 nodes" in err
+
+    def test_auto_answers_from_the_bounded_engine(self, capsys, tmp_path):
+        path = write_model(tmp_path, incskip_doc())
+        code, report, _ = run(capsys, "check", path, self.FORMULA, "--depth", "6")
+        assert (code, report["engine"], report["verdict"]) == (0, "bounded", "true")
+
+    def test_export_graph_exits_2(self, capsys, tmp_path):
+        path = write_model(tmp_path, incskip_doc())
+        code, report, _ = run(capsys, "export-graph", path, "--bound", "49")
+        assert (code, report["nodes"]) == (0, 50)
+        code, report, err = run(capsys, "export-graph", path, "--bound", "50")
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and "more than 50 nodes" in err
 
 
 class TestEncodeTcm:
@@ -881,18 +908,13 @@ def mutated(draw, fresh, fields):
 
 def keeps_the_contract(capsys, *argvs):
     for argv in argvs:
-        try:
-            code = main(argv)
-            returned = True
-        except SystemExit as e:  # argparse refusing the command line
-            code = e.code
-            returned = False
+        code = main(argv)  # argparse refusing the command line returns 2 too
         out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3)
         if out.strip():
             json.loads(out)  # exactly one JSON document
         assert "Traceback" not in err
-        if returned and code in (2, 3):
+        if code in (2, 3):
             assert len(err.splitlines()) <= 1, err
             assert len(err.encode()) <= 1000, err  # an echoed input is clipped
 
@@ -989,6 +1011,28 @@ class TestExitCodeContract:
         assert (code, report) == (2, None)
         assert err.count("\n") == 1 and len(err.encode()) <= 300, err
         assert "int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "builtin:fig1", "p1", "--depth", "abc"],
+        ["check", "builtin:fig1", "p1", "--depth", LONG],
+        ["check", "builtin:fig1", "p1", "--engine", "nosuch"],
+        ["check", "builtin:fig1"],
+        ["nosuch"],
+        [],
+    ], ids=["word-depth", "long-depth", "unknown-engine", "missing-formula", "unknown-command",
+            "nothing"])
+    def test_a_refused_command_line_exits_2_with_one_short_line(self, capsys, argv):
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and len(err.encode()) <= 300, err
+        assert err.startswith("gcgmp: ") and err.count("gcgmp") == 1, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 0
+        assert "usage: gcgmp" in capsys.readouterr().out
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("sink", ["full-disk", "closed-pipe"])

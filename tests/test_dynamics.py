@@ -29,6 +29,7 @@ from gcgmp.errors import (
     IndexOutOfRange,
     InvalidState,
     NotLasso,
+    TooLarge,
     UndiscountedDiscounted,
 )
 from gcgmp.logic import bind_formula, parse_formula
@@ -291,6 +292,15 @@ class TestExplore:
         assert len(r.pools) == 1
         assert len(r.succ) == 1
         assert not r.truncated
+
+    def test_a_graph_past_the_node_limit_is_too_large(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_GRAPH_NODES", 5)
+        m = model_from_dict(loop_doc())
+        assert len(explore(m, initial_config(m, "s"), 4).pools) == 5
+        with pytest.raises(TooLarge, match="more than 5 nodes"):
+            explore(m, initial_config(m, "s"), 5)
+        with pytest.raises(TooLarge, match="more than 5 nodes"):
+            explore(m, initial_config(m, "s"), cap=10)
 
     def test_no_depth_runs_until_the_graph_closes(self):
         m = model_from_dict(loop_doc(pay="0"))

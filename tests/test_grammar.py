@@ -184,6 +184,16 @@ class TestNestingLimit:
         assert str(e).startswith(f"nested more than {MAX_NESTING} levels deep")
         assert e.col == col(MAX_NESTING + 1)
 
+    @pytest.mark.parametrize("parse, part, op", [
+        (parse_formula, "(!X p1 U <<I>>G (p1 | p2 & p1))", " & "),
+        (parse_formula, "(<<I>>(p1 U !p2))", " | "),
+        (parse_acf, "(!(v_a >= 0) & (0 = 0 | !!v_a < 1))", " | "),
+        (parse_acf, "!(v_a >= 0 | 0 = 0)", " & "),
+    ])
+    def test_a_level_ends_with_its_construct(self, parse, part, op):
+        # ninety siblings, each a few levels deep: only the chain's levels add up
+        parse(op.join([part] * 90))
+
     def test_the_limit_is_one_hundred(self):
         assert MAX_NESTING == 100
 

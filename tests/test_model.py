@@ -609,7 +609,7 @@ def test_a_large_ring_loads_validates_and_checks_in_linear_time():
 class TestDiscountKinds:
     def test_a_missing_discount_constructs_and_is_reported(self):
         m = dataclasses.replace(builtin_fig1(), discounts={"I": F(1)})
-        assert (m.discount_kinds, m.step_indexed, m.lassos_close) == (("one", "step"), True, False)
+        assert (m.discount_kinds, m.step_indexed) == (("one", "step"), True)
         assert [v.kind for v in validate(m)] == ["missing-discount"]
 
     @pytest.mark.parametrize("discounts", [{"I": F(1), "II": F(0)}, {"I": F(1, 2), "II": F(1)}])
