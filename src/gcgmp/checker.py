@@ -395,12 +395,11 @@ class _Point:
     """One proponent consultation point in the odometer."""
 
     key: object  # _search_key of the observation
-    obs: object  # _strategy_key of the same observation, for reports
     alts: list  # coalition joint moves enabled where the point was created
     idx: int = 0
     blame: int = 0  # bitmask of the point ids this point's exhaustion blames
-    # (frame, c, l, machine, consulted, n, path_configs, path_profiles,
-    # tau_store, path_index) where the sweep that created the point met it
+    # (frame, machine, consulted, path_configs, path_profiles, tau_store,
+    # path_index) where the sweep that created it met it, at path_configs[-1]
     resume: object = None
 
     @property
@@ -522,20 +521,13 @@ def observation_key(spec: StrategyClassSpec, configs) -> str:
     Matches the keys used in StrategyTable moves: bare state, "state|u1,u2",
     or those joined by " > " under perfect recall.
     """
-    return _obs_str(_strategy_key(spec, list(configs)))
+    return _obs_str(_strategy_key(spec, configs))
 
 
 def _trace(configs, profiles, loop) -> dict:
-    steps = []
-    for i, c in enumerate(configs):
-        entry = {
-            "state": c.state,
-            "utilities": [str(u) for u in c.utilities],
-        }
-        if i < len(profiles):
-            entry["profile"] = list(profiles[i])
-        steps.append(entry)
-    out = {"trace": steps}
+    out = {"trace": [c.as_json() for c in configs]}
+    for entry, prof in zip(out["trace"], profiles):
+        entry["profile"] = list(prof)
     if loop is not None:
         out["loop"] = loop
     return out
@@ -555,14 +547,18 @@ class _CoopSolver:
     backtracking does (Ginsberg, JAIR 1993).  The walk is an explicit stack
     of immutable frames, each linked to its parent.  A point keeps, as its
     ``resume`` checkpoint, where the sweep that created it met it: the
-    node's folded state, the frame above it and snapshots of the path, its
-    opponent commitments and its position index.  A new point's id exceeds
-    every live one, so the walk up to its checkpoint read only lower
-    points, and it is deterministic in their moves.  A backjump to point j
-    changes j and drops every point above it, so the next sweep starts at
-    j's own checkpoint.  Most sweeps walk one or two nodes, so nothing else
-    is copied per sweep: a refuted path only for a kept record, response
-    lists once per configuration.
+    node's folded state, the frame above it and snapshots of the path (which
+    ends at the point's configuration, so it gives the node, its step and
+    its observation), its opponent commitments and its position index.  A
+    new point's id exceeds every live one, so the walk up to its checkpoint
+    read only lower points, and it is deterministic in their moves.  A
+    backjump to point j changes j and drops every point above it, so the
+    next sweep starts at j's own checkpoint and consults j at once.  A point
+    created later is consulted when created, none is deleted during a sweep,
+    and the first sweep starts with none: so every sweep consults every live
+    point, and a winning sweep's witness is the table of all of them.  Most
+    sweeps walk one or two nodes, so nothing else is copied per sweep: a
+    refuted path only for a kept record, response lists once per configuration.
     """
 
     def __init__(self, ctx: _Ctx, coop: Coop, c0: Configuration, l0: int, depth: int):
@@ -577,7 +573,6 @@ class _CoopSolver:
         self.points: list[_Point] = []
         self.index: dict = {}
         self.records: list = []  # (configs, profiles, loop, refutes) per refutation
-        self.sweep_consulted: dict = {}  # point ids in first-consulted order
         self.responses: dict = {}  # id of an interned configuration -> opponent responses
 
     # -- odometer ------------------------------------------------------------
@@ -593,11 +588,9 @@ class _CoopSolver:
         if pid is None:
             alts = list(itertools.product(*[pools[i] for i in self.mi]))
             pid = len(self.points)
-            obs = _strategy_key(self.ctx.sp, path_configs)
-            self.points.append(_Point(key, obs, alts))
+            self.points.append(_Point(key, alts))
             self.index[key] = pid
         point = self.points[pid]
-        self.sweep_consulted[pid] = None
         if not point.alts:
             return None, pid, True
         move = point.move
@@ -644,7 +637,7 @@ class _CoopSolver:
                     # bump, so they are named now
                     configs, profiles, loop = record
                     self.records.append((tuple(configs), tuple(profiles), loop, {
-                        _obs_str(p.obs): list(p.move)
+                        observation_key(self.ctx.sp, p.resume[3]): list(p.move)
                         for i, p in enumerate(self.points) if conflict >> i & 1 and p.alts
                     }))
                 if not conflict:
@@ -668,9 +661,8 @@ class _CoopSolver:
 
     def _witness(self) -> StrategyTable:
         moves: dict[str, dict[str, str]] = {a: {} for a in self.members}
-        for pid in sorted(self.sweep_consulted):
-            point = self.points[pid]
-            key = _obs_str(point.obs)
+        for point in self.points:  # the sweep consulted every live point
+            key = observation_key(self.ctx.sp, point.resume[3])
             for a, act in zip(self.members, point.move):
                 moves[a][key] = act
         return StrategyTable(self.ctx.sp, tuple(self.members), moves)
@@ -692,16 +684,13 @@ class _CoopSolver:
         depth, members, oi, weave = self.depth, self.members, self.oi, self.weave
         tau_memoryless = bool(oi) and ctx.so.memory is StrategyMemory.MEMORYLESS
         fold = start is None  # a resumed node was entered by the last sweep
-        root = (None, self.c0, self.l0, self.machine0, 0, 0, (self.c0,), (), {},
-                {id(self.c0): 0})
-        top, c, l, machine, consulted, n, configs, profiles, taus, index = start or root
+        root = (None, self.machine0, 0, (self.c0,), (), {}, {id(self.c0): 0})
+        top, machine, consulted, configs, profiles, taus, index = start or root
+        c, l = configs[-1], self.l0 + len(profiles)
         path_configs, path_profiles = list(configs), list(profiles)
         # the index may keep entries of branches abandoned before the
         # checkpoint; the descent corrects the one entry it reads
         tau_store, path_index = dict(taus), dict(index)
-        sweep_consulted = self.sweep_consulted
-        while len(sweep_consulted) > n:  # back to the checkpoint's, newest first
-            sweep_consulted.popitem()
 
         def refuted(loop=None):
             return False, consulted, (path_configs, path_profiles, loop)
@@ -761,11 +750,8 @@ class _CoopSolver:
                 if pid is not None:
                     point = self.points[pid]
                     if point.resume is None:  # created just now
-                        point.resume = (
-                            top, c, l, machine, consulted, len(sweep_consulted) - 1,
-                            tuple(path_configs), tuple(path_profiles), dict(tau_store),
-                            dict(path_index),
-                        )
+                        point.resume = (top, machine, consulted, tuple(path_configs),
+                                        tuple(path_profiles), dict(tau_store), dict(path_index))
                     consulted |= 1 << pid
                 if invalid:
                     return refuted()
@@ -1206,7 +1192,7 @@ def replay_strategy_table(
     c0 = Configuration(c0.state, tuple(map(exact, c0.utilities)))
 
     def move_of(configs):
-        key = _obs_str(_strategy_key(table.spec, configs))
+        key = observation_key(table.spec, configs)
         move = tuple(table.moves.get(a, {}).get(key) for a in members)
         return None if None in move else move
 

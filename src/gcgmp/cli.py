@@ -60,6 +60,9 @@ from .model import (
 from .tcm import VARIANTS, encode, load_tcm
 
 
+MAX_STEPS = 100_000  # the most steps one simulation runs; it keeps every configuration
+
+
 class CliInputError(Exception):
     """The invocation cannot be acted on (exit code 2)."""
 
@@ -136,10 +139,6 @@ def _parse_init(m, text: str | None):
     return initial_config(m, state, utilities)
 
 
-def _config_json(c) -> dict:
-    return {"state": c.state, "utilities": [str(u) for u in c.utilities]}
-
-
 @contextlib.contextmanager
 def _writing(path: str):
     """Turn a failed write to ``path`` into unusable input (exit 2)."""
@@ -198,7 +197,7 @@ def cmd_check(args):
         "model_sha256": model_digest(m),
         "formula": args.formula,
         "fragment": classify(f).value,
-        "init": _config_json(init),
+        "init": init.as_json(),
         **result,
     }
     return report, 0
@@ -276,6 +275,8 @@ def cmd_simulate(args):
         steps = 20
     if script is not None:
         steps = min(steps, len(script))
+    if steps > MAX_STEPS:
+        raise CliInputError(f"a simulation runs at most {MAX_STEPS:,} steps")
 
     configs = [init]
     profiles = []
@@ -339,7 +340,7 @@ def cmd_simulate(args):
         "model_sha256": model_digest(m),
         "value_semantics": m.value_semantics.value,
         "steps_run": len(profiles),
-        "trace": [_config_json(c) for c in configs],
+        "trace": [c.as_json() for c in configs],
         "profiles": [list(p) for p in profiles],
         "lasso": None if loop is None else {"loop": loop},
         "values": values,
@@ -366,7 +367,7 @@ def cmd_encode_tcm(args):
         "machine_transitions": len(tcm.transitions),
         "game_states": len(enc.model.states),
         "model_sha256": model_digest(enc.model),
-        "init": _config_json(enc.initial),
+        "init": enc.initial.as_json(),
         "formula": enc.formula_text,
     }
     if args.output is not None:
@@ -397,7 +398,7 @@ def cmd_export_graph(args):
         "command": "export-graph",
         "model": args.model,
         "model_sha256": model_digest(m),
-        "init": _config_json(init),
+        "init": init.as_json(),
         "bound": args.bound,
         "nodes": len(result.pools),
         "edges": len(result.succ),
@@ -421,7 +422,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     argparse's usage block; subcommand parsers inherit the class."""
 
     def error(self, message):
-        raise CliInputError(echo(message, str))
+        # the echoed input is clipped, not the list of choices after it
+        head, sep, choices = message.partition(" (choose from ")
+        raise CliInputError(echo(head, str) + sep + choices)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -45,12 +45,15 @@ class Configuration(NamedTuple):
     """A state and every agent's running utility.  A search key built and
     hashed at every step, hence a named tuple: hashing and equality run in C
     (``2`` and ``Fraction(2)`` are equal utilities with equal hashes).  JSON
-    would write a tuple as a bare list, so reports go through
-    ``cli._config_json`` or ``checker._trace``."""
+    would write a tuple as a bare list, so every report goes through
+    ``as_json``."""
 
     state: str
     # one per agent, in model agent order; exact rationals: int when integral, else Fraction
     utilities: tuple[Rational, ...]
+
+    def as_json(self) -> dict:
+        return {"state": self.state, "utilities": [str(u) for u in self.utilities]}
 
 
 def initial_config(m: Gcgmp, state: str, utilities=None) -> Configuration:

@@ -208,13 +208,15 @@ def small_games(draw):
     states, agents = [f"s{i}" for i in range(n)], ["a", "b", "c"][:k]
     actions = dict(zip(agents, draw(st.lists(st.sampled_from([["x"], ["x", "y"]]),
                                              min_size=k, max_size=k))))
+    # per state at most 3 availability picks, 1 label pick and 2 ** 3 profiles
     picks = iter(draw(st.lists(st.integers(0, 63), min_size=12 * n, max_size=12 * n)))
     available, labels, trans, pays = {}, {}, [], []
     for s in states:
         for a, acts in actions.items():  # a nonempty subset, as a bitmask
             bits = next(picks) % ((1 << len(acts)) - 1) + 1
             available.setdefault(s, {})[a] = [x for i, x in enumerate(acts) if bits >> i & 1]
-        labels[s] = [p for i, p in enumerate("pq") if next(picks) >> i & 1]
+        bits = next(picks)  # one pick for both letters
+        labels[s] = [p for i, p in enumerate("pq") if bits >> i & 1]
         for prof in itertools.product(*available[s].values()):
             profile = dict(zip(agents, prof))
             trans.append({"from": s, "profile": profile, "to": states[next(picks) % n]})
@@ -1242,6 +1244,8 @@ def random_state_formula(rng, depth):
 
 
 class TestEngineAgreement:
+    DEPTHS = (1, 2, 4, 8)  # bounded horizons whose definite verdicts must all agree
+
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])
     def test_definite_verdicts_agree(self, seed):
         rng = random.Random(seed)
@@ -1263,9 +1267,10 @@ class TestEngineAgreement:
                 ).value
             except (TooLarge, FragmentError):
                 continue
-            verdicts["bounded"] = check_bounded(
-                m, c0, f, ML_CONFIG, ML_CONFIG, Budget(4)
-            ).value
+            for d in self.DEPTHS:  # deepening never contradicts itself
+                verdicts[f"bounded@{d}"] = check_bounded(
+                    m, c0, f, ML_CONFIG, ML_CONFIG, Budget(d)
+                ).value
             if nonneg:
                 try:
                     verdicts["saturated"] = check_saturated(m, c0, f).value
@@ -1291,12 +1296,13 @@ class TestEngineAgreement:
                 continue
             c0 = Configuration(m.states[0], (F(0), F(0)))
             try:
-                want = enumerate_oracle(m, c0, f, sp, so, depth=4).value
+                verdicts = {"oracle": enumerate_oracle(m, c0, f, sp, so, depth=4).value}
             except (TooLarge, FragmentError):
                 continue
-            got = check_bounded(m, c0, f, sp, so, Budget(4)).value
-            if want is not None and got is not None:
-                assert want == got, (want, got, f)
+            for d in self.DEPTHS:
+                verdicts[f"bounded@{d}"] = check_bounded(m, c0, f, sp, so, Budget(d)).value
+            defs = {k: v for k, v in verdicts.items() if v is not None}
+            assert len(set(defs.values())) <= 1, (verdicts, f)
             checked += 1
 
     def test_oracle_matches_qualitative_engine(self):

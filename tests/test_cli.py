@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gcgmp import dynamics
+from gcgmp import cli, dynamics
 from gcgmp.cli import main
 from gcgmp.model import builtin_fig1, dump_model, model_from_dict, model_to_dict, validate
 from gcgmp.tcm import Halts, dump_tcm, halting_search, make_machine
@@ -599,6 +599,28 @@ class TestGraphNodeLimit:
         assert err.count("\n") == 1 and "more than 50 nodes" in err
 
 
+class TestStepLimit:
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STEPS", 5)
+
+    def test_steps_past_the_limit_exit_2(self, capsys):
+        code, report, _ = run(capsys, "simulate", "builtin:fig1", "--steps", "5")
+        assert (code, report["steps_run"]) == (0, 5)
+        code, report, err = run(capsys, "simulate", "builtin:fig1", "--steps", "6")
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and "at most 5 steps" in err
+
+    def test_a_script_past_the_limit_exits_2(self, capsys):
+        script = " ".join(["C,C"] * 6)
+        code, report, err = run(capsys, "simulate", "builtin:fig1", "--profile-script", script)
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and "at most 5 steps" in err
+        code, report, _ = run(capsys, "simulate", "builtin:fig1", "--profile-script", script,
+                              "--steps", "5")
+        assert code == 0 and len(report["profiles"]) <= 5
+
+
 class TestEncodeTcm:
     def test_bundled_machine_round_trips_through_check(self, capsys, tmp_path):
         out = tmp_path / "game.json"
@@ -982,8 +1004,11 @@ class TestExitCodeContract:
         variant=st.sampled_from(["guard-based", "state-based"]),
     )
     def test_other_subcommands_keep_the_contract(
-        self, capsys, tmp_path, doc, machine, strategy, script, init, count, variant
+        self, capsys, tmp_path, monkeypatch, doc, machine, strategy, script, init, count, variant
     ):
+        # limits patched small, so that step counts and scripts also cross them
+        monkeypatch.setattr(cli, "MAX_STEPS", 3)
+        monkeypatch.setattr(dynamics, "MAX_GRAPH_NODES", 3)
         path = write_model(tmp_path, doc)
         machine_path = write_model(tmp_path, machine, "machine.json")
         strategy_path = write_model(tmp_path, strategy, "strategy.json")
@@ -1017,15 +1042,23 @@ class TestExitCodeContract:
         ["check", "builtin:fig1", "p1", "--depth", LONG],
         ["check", "builtin:fig1", "p1", "--engine", "nosuch"],
         ["check", "builtin:fig1"],
+        ["check", "builtin:fig1", "p1", "--engine", "x" * 5000],
+        ["check", "builtin:fig1", "p1", "x" * 5000],
         ["nosuch"],
         [],
-    ], ids=["word-depth", "long-depth", "unknown-engine", "missing-formula", "unknown-command",
-            "nothing"])
+    ], ids=["word-depth", "long-depth", "unknown-engine", "missing-formula", "long-choice",
+            "long-unrecognized", "unknown-command", "nothing"])
     def test_a_refused_command_line_exits_2_with_one_short_line(self, capsys, argv):
         code, report, err = run(capsys, *argv)
         assert (code, report) == (2, None)
         assert err.count("\n") == 1 and len(err.encode()) <= 300, err
         assert err.startswith("gcgmp: ") and err.count("gcgmp") == 1, err
+
+    def test_a_refused_choice_names_every_choice(self, capsys):
+        code, _, err = run(capsys, "foo")
+        assert code == 2 and err.count("\n") == 1, err
+        for command in ("validate", "check", "simulate", "encode-tcm", "export-graph"):
+            assert f"'{command}'" in err, err
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_still_exits_0(self, capsys, argv):
