@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcgmp import checker, dynamics
+from gcgmp.arith import exact
 from gcgmp.checker import (
     Budget,
     StrategyTable,
@@ -658,6 +659,82 @@ class TestSaturated:
         m = mk(d)
         c0 = Configuration("s", (F(start),))
         assert check_saturated(m, c0, fml(m, text)).value is expected
+
+    def test_capped_graphs_and_outcomes_are_pinned(self, monkeypatch):
+        # the capped graph of each work chain and of a seeded non-negative
+        # population, and check_saturated's verdict or refusal on each query
+        blob = []
+
+        def outcome(m, c0, f):
+            try:
+                return check_saturated(m, c0, f).value
+            except NotApplicable as e:
+                return type(e).__name__, str(e)
+
+        def graph(m, c0, f):
+            r = dynamics.explore(m, c0, cap=exact(saturation_cap(m, f)))
+            return list(r.pools.items()), list(r.succ.items())
+
+        chains = []
+        for n, k in WORK_CHAINS:
+            m = work_chain(n, k, n % (k + 1))
+            c0 = Configuration("c0", (0, 0))
+            texts = (f"<<A,B>>(true U (goal & v_A > {k}))", "<<A>>(true U goal)",
+                     f"<<B>> G (!goal | v_B >= {k})")
+            blob.append(graph(m, c0, fml(m, texts[0])))
+            blob.append([outcome(m, c0, fml(m, t)) for t in texts])
+            chains.append((m, c0, fml(m, texts[0])))
+        rng = random.Random(2029)
+        kept = 0
+        while kept < 120:
+            m = random_model(rng, kept % 8 != 7)  # every eighth may pay less than 0
+            if validate(m):
+                continue
+            text = random_state_formula(rng, 2)
+            if rng.random() < 0.1:
+                text = f"({text}) & <<a>> X (v_a >= v_b + 1)"
+            f = fml(m, text)
+            c0 = Configuration(m.states[0], tuple(F(rng.choice(["0", "1", "5/2"])) for _ in m.agents))
+            blob.append(outcome(m, c0, f))
+            if kept % 8 != 7 and "v_b + 1" not in text:
+                blob.append(graph(m, c0, f))
+            blob.append(outcome(m, Configuration(m.states[0], (F(-1), F(0))), f))
+            half = dataclasses.replace(m, discounts={"a": F(1), "b": F(1, 2)})
+            blob.append(outcome(half, c0, f))
+            kept += 1
+        monkeypatch.setattr(dynamics, "MAX_GRAPH_NODES", 80)  # the first two chains fit
+        blob += [outcome(*query) for query in chains]
+        digest = hashlib.sha256(repr(blob).encode()).hexdigest()
+        assert digest == "7d4f31c05e9b17f3f96beabb831e71506c5a8aa224025fe65eaf29b59d7e5a82"
+
+
+WORK_CHAINS = ((12, 2), (14, 2), (16, 3), (18, 3), (20, 4), (22, 4))
+
+
+def work_chain(n, k, offset):
+    """States c0..c{n-1}; at each, players A and B either work (+1 to their
+    own utility) or move, and the play advances when both move.  Moving is
+    guarded by a threshold on the mover's utility: A's cycle 0..k along the
+    chain and B's k..0, from ``offset``.  The last state is ``goal`` and
+    absorbs."""
+    names = [f"c{i}" for i in range(n)]
+    trans, pays, guards = [], [], []
+    for i, s in enumerate(names):
+        for a_act, b_act in itertools.product(("work", "move"), repeat=2):
+            prof = {"A": a_act, "B": b_act}
+            to = names[min(i + 1, n - 1)] if (a_act, b_act) == ("move", "move") else s
+            trans.append({"from": s, "profile": prof, "to": to})
+            pays.append({"state": s, "profile": prof, "values": {
+                "A": str(int(a_act == "work")), "B": str(int(b_act == "work"))}})
+        bar = (i + offset) % (k + 1)
+        guards += [{"agent": "A", "state": s, "action": "move", "formula": f"v_A >= {bar}"},
+                   {"agent": "B", "state": s, "action": "move", "formula": f"v_B >= {k - bar}"}]
+    return mk({
+        "agents": ["A", "B"], "states": names,
+        "actions": {"A": ["move", "work"], "B": ["move", "work"]},
+        "transitions": trans, "payoffs": pays, "labels": {names[-1]: ["goal"]},
+        "guards": guards, "value_semantics": "total",
+    })
 
 
 # --- bounded engine ---------------------------------------------------------
