@@ -314,16 +314,17 @@ def check_atl(m: Gcgmp, f: Formula) -> frozenset:
 
 def saturation_cap(m: Gcgmp, f: Formula) -> Fraction:
     """One above the largest constant in the formula's and guards' atoms."""
-    bound = Fraction(0)
-    for a in constraint_atoms(f, m):
-        kind = normalize_atom(a)
-        if kind[0] == "mixed":
-            raise VariableVsVariableAtom(
-                "saturation cannot decide comparisons between two utility terms"
-            )
-        if kind[0] == "sum":
-            bound = max(bound, kind[3])
-    return bound + 1
+    return _saturation(m, f)[0]
+
+
+def _saturation(m: Gcgmp, f: Formula) -> tuple[Fraction, dict]:
+    """`saturation_cap`, and each formula atom's `normalize_atom` shape by
+    ``id``.  The guards' atoms are the model's facts (`Gcgmp.saturation`)."""
+    _, bound, mixed = m.saturation()
+    shapes = {i: normalize_atom(a) for i, a in {id(a): a for a in constraint_atoms(f)}.items()}
+    if mixed or any(x[0] == "mixed" for x in shapes.values()):
+        raise VariableVsVariableAtom("saturation cannot decide comparisons between two utility terms")
+    return max([bound] + [x[3] for x in shapes.values() if x[0] == "sum"]) + 1, shapes
 
 
 def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
@@ -344,13 +345,11 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
             "the saturation engine needs plain X/G/U coalition bodies over "
             "state formulas, without play-value atoms"
         )
-    for (s, prof), pays in m.payoffs.items():
-        for a, p in zip(m.agents, pays):
-            if p < 0:
-                raise NotMonotone(
-                    f"payoff {echo(p, str)} for agent {echo(a)} at state {echo(s)} under "
-                    f"{echo(prof)} is negative"
-                )
+    negative = m.saturation()[0]
+    if negative:
+        s, prof, a, p = negative
+        raise NotMonotone(f"payoff {echo(p, str)} for agent {echo(a)} at state {echo(s)} under "
+                          f"{echo(prof)} is negative")
     for a, kind in zip(m.agents, m.discount_kinds):
         if kind != "one":
             raise NotMonotone(f"agent {echo(a)} has discount {echo(m.discounts.get(a), str)}; "
@@ -359,9 +358,9 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
         if u < 0:
             raise NotMonotone(f"start utility {echo(u, str)} for agent {echo(a)} is negative")
 
-    cap = exact(saturation_cap(m, f))
+    cap, shapes = _saturation(m, f)
     try:
-        game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=cap)
+        game = explore(m, Configuration(c0.state, tuple(map(exact, c0.utilities))), cap=exact(cap))
     except TooLarge as e:
         raise NotApplicable(str(e)) from e
     pools = game.pools
@@ -369,7 +368,7 @@ def check_saturated(m: Gcgmp, c0: Configuration, f: Formula) -> Verdict:
     def leaf(g) -> frozenset:  # outside NGL_STAR, a leaf is a proposition or an atom
         if isinstance(g, Prop):
             return frozenset(n for n in pools if g.name in m.label_of(n.state))
-        shape = normalize_atom(g.atom)  # "const" or "sum": saturation_cap refused "mixed"
+        shape = shapes[id(g.atom)]  # "const" or "sum": _saturation refused "mixed"
         if shape[0] == "const":
             return frozenset(pools) if shape[1] else frozenset()
         _, counts, rel, d = shape

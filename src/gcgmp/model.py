@@ -65,11 +65,12 @@ class ValueSemantics(Enum):
 
 @dataclass(frozen=True)
 class Gcgmp:
-    """A model as loaded, and what it compiles to.  Each guard and step is
-    compiled once, on first use, and kept: ``region_tables`` per (agent,
-    state), built by `regions` and read by the configuration engines through
-    `dynamics.enabled_pools`, `validate` and `checker.check`'s atl gate; and
-    ``step_table`` per (state, profile), read by `dynamics.successor`.
+    """A model as loaded, and what it compiles to, once, on first use:
+    ``region_tables`` per (agent, state) by `regions`, read by the engines
+    through `dynamics.enabled_pools`, by `validate` and by `checker.check`'s
+    atl gate; ``step_table`` per (state, profile) by `step_entry`, read by
+    `dynamics.successor`; ``move_table`` per (state, enabled pools) by `moves`,
+    read by `dynamics.explore`; and ``saturation_facts`` by `saturation`.
     `enabled_actions` stays literal, as the brute-force oracle reads it."""
 
     agents: tuple[str, ...]
@@ -99,6 +100,8 @@ class Gcgmp:
         object.__setattr__(self, "step_indexed", "step" in kinds)
         object.__setattr__(self, "region_tables", {})
         object.__setattr__(self, "step_table", {})
+        object.__setattr__(self, "move_table", {})
+        object.__setattr__(self, "saturation_facts", [])
 
     # -- lookups with defaults -------------------------------------------
 
@@ -151,6 +154,43 @@ class Gcgmp:
                 tuple(map(exact, ts)), points,  # int thresholds compare with int utilities in C
                 tuple(self.enabled_actions(agent, state, exact(p)) for p in points))
         return table
+
+    def step_entry(self, state: str, profile: Profile) -> tuple:
+        """``(target, adds, scaled)`` under ``profile`` at ``state``.  Under discount 1
+        an agent adds its payoff and under 0 nothing; under any other d, ``scaled``
+        holds (d, payoff) and it adds ``d ** step_index * payoff`` (steps count from 1)."""
+        key = (state, profile)
+        entry = self.step_table.get(key)
+        if entry is None:
+            pays, kinds = self.payoffs[key], self.discount_kinds
+            entry = self.step_table[key] = (
+                self.transitions[key], tuple(p if k == "one" else 0 for k, p in zip(kinds, pays)),
+                tuple((self.discounts[a], p) if k == "step" else None
+                      for a, k, p in zip(self.agents, kinds, pays)) if self.step_indexed else ())
+        return entry
+
+    def moves(self, state: str, pools: tuple) -> tuple:
+        """``(profile, step_entry)`` for each profile drawn from ``pools``, each
+        agent's enabled actions at ``state``, in `itertools.product` order.  Built once."""
+        key = (state, pools)
+        table = self.move_table.get(key)
+        if table is None:
+            table = self.move_table[key] = tuple(
+                (prof, self.step_entry(state, prof)) for prof in itertools.product(*pools))
+        return table
+
+    def saturation(self) -> tuple:
+        """``(negative, bound, mixed)`` for `checker.check_saturated`: the first
+        negative payoff, as (state, profile, agent, payoff), or None; the largest
+        constant (at least 0) of the guards' atoms, and whether one is mixed."""
+        if not self.saturation_facts:
+            negative = next(((s, prof, a, p) for (s, prof), pays in self.payoffs.items()
+                             for a, p in zip(self.agents, pays) if p < 0), None)
+            shapes = [arith.normalize_atom(x) for g in self.guards.values() for x in arith.acf_atoms(g)]
+            self.saturation_facts.append((
+                negative, max([Fraction(0)] + [x[3] for x in shapes if x[0] == "sum"]),
+                any(x[0] == "mixed" for x in shapes)))
+        return self.saturation_facts[0]
 
 
 # --- validation -------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcgmp import checker, dynamics
+from gcgmp import arith, checker, dynamics
 from gcgmp.arith import exact
 from gcgmp.checker import (
     Budget,
@@ -51,6 +51,7 @@ from gcgmp.logic import (
     TRUE,
     Always,
     And,
+    Constraint,
     Coop,
     Next,
     Not,
@@ -706,6 +707,71 @@ class TestSaturated:
         blob += [outcome(*query) for query in chains]
         digest = hashlib.sha256(repr(blob).encode()).hexdigest()
         assert digest == "7d4f31c05e9b17f3f96beabb831e71506c5a8aa224025fe65eaf29b59d7e5a82"
+
+    def test_a_second_check_normalizes_only_the_formula_atoms(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            return lambda a: calls.append(a) or fn(a)
+
+        monkeypatch.setattr(arith, "normalize_atom", counted(arith.normalize_atom))
+        monkeypatch.setattr(checker, "normalize_atom", counted(checker.normalize_atom))
+        m = work_chain(12, 2, 0)
+        c0 = Configuration("c0", (0, 0))
+        f = fml(m, "(<<A,B>>(true U (goal & v_A > 2))) & (<<B>> G (v_B >= 0))")
+        assert check_saturated(m, c0, f).value is True
+        assert len(calls) > 2 + 24  # the formula's atoms, the 24 guards' and the regions'
+        calls.clear()
+        assert check_saturated(m, c0, f).value is True
+        assert calls == [g.atom for g in subformulas(f) if isinstance(g, Constraint)]
+
+    def test_a_replaced_model_brings_no_stale_facts(self):
+        m = work_chain(12, 2, 0)
+        c0 = Configuration("c0", (0, 0))
+        f = fml(m, "<<A>>(true U goal)")
+        assert check_saturated(m, c0, f).value is False
+        worse = dict(m.payoffs)
+        worse[("c3", ("work", "move"))] = (1, -1)
+        with pytest.raises(NotMonotone, match="^payoff -1 for agent 'B' at state 'c3' under "
+                                              r"\('work', 'move'\) is negative$"):
+            check_saturated(dataclasses.replace(m, payoffs=worse), c0, f)
+        assert check_saturated(m, c0, f).value is False
+
+    def test_a_negative_payoff_is_refused_before_a_variable_comparison(self):
+        # two negative payoffs, and a guard comparing v_a with v_b at u, which
+        # no play from s reaches: the first payoff in table order is named
+        doc = {
+            "agents": ["a", "b"], "states": ["s", "t", "u"],
+            "actions": {"a": ["x", "y"], "b": ["x"]},
+            "transitions": [{"from": s, "profile": {"a": act, "b": "x"}, "to": to}
+                            for s, to in (("s", "t"), ("t", "s"), ("u", "u"))
+                            for act in ("x", "y")],
+            "payoffs": [{"state": s, "profile": {"a": act, "b": "x"}, "values": {"a": va, "b": vb}}
+                        for s, act, va, vb in (("s", "x", "1", "0"), ("s", "y", "0", "-1/2"),
+                                               ("t", "x", "-3", "2"), ("t", "y", "1", "1"),
+                                               ("u", "x", "0", "0"), ("u", "y", "0", "0"))],
+            "labels": {"t": ["p"]},
+            "guards": [{"agent": "a", "state": "u", "action": "y", "formula": "v_a >= v_b"}],
+        }
+        m = model_from_dict(doc)
+        f = fml(m, "<<a>> F (p & v_a >= 1)")
+        c0 = Configuration("s", (0, 0))
+        with pytest.raises(NotMonotone) as e:
+            check_saturated(m, c0, f)
+        assert str(e.value) == "payoff -1/2 for agent 'b' at state 's' under ('y', 'x') is negative"
+        unsigned = dataclasses.replace(m, payoffs={k: tuple(map(abs, v))
+                                                   for k, v in m.payoffs.items()})
+        with pytest.raises(VariableVsVariableAtom):
+            check_saturated(unsigned, c0, f)
+        for model in (m, unsigned):  # auto falls through to bounded
+            assert checker.check(model, c0, f, budget=6) == {
+                "engine": "bounded",
+                "strategy_class": {"proponents": "ml-config", "opponents": "ml-config"},
+                "bounds": {"depth": 6, "strategies": 4000, "nodes": 2000000},
+                "verdict": "true", "bound_used": 2,
+                "witness": {"class": "ml-config", "coalition": ["a"],
+                            "moves": {"a": {"s|0,0": "x"}}},
+            }
 
 
 WORK_CHAINS = ((12, 2), (14, 2), (16, 3), (18, 3), (20, 4), (22, 4))

@@ -371,6 +371,21 @@ class TestExplore:
         blob = repr((list(r.pools.items()), list(r.succ.items()))).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    @pytest.mark.parametrize("discount_i, indexed", [(F(1), False), (F(1, 2), True)])
+    def test_moves_come_from_the_move_table(self, monkeypatch, discount_i, indexed):
+        m = replace(builtin_fig1(), discounts={"I": discount_i, "II": F(1)})
+        calls = []
+        monkeypatch.setattr(dynamics, "successor",
+                            lambda *args, _s=dynamics.successor: calls.append(args) or _s(*args))
+        first = explore(m, initial_config(m, "s1"), 4)
+        tables = dict(m.move_table), dict(m.step_table)
+        calls.clear()
+        again = explore(m, initial_config(m, "s1"), 4)
+        assert (again.pools, again.succ) == (first.pools, first.succ)
+        assert (m.move_table, m.step_table) == tables  # read, not rebuilt
+        # only a step-indexed graph steps each edge: its increments depend on the step
+        assert len(calls) == (len(again.succ) if indexed else 0)
+
     def test_dot_output(self):
         m = builtin_fig1()
         r = explore(m, initial_config(m, "s1"), 1)
